@@ -6,6 +6,10 @@ classes of the descent of n^: the members of full membership truth, i.e.
 all mixings of the names below n over the atom partition.  The count is
 n^atoms for n >= 1 (one independent choice among n names per atom, all
 distinct up to equivalence), which the table makes visible.
+
+Descent builds one mixing per class from the per-atom stalks, so a cell
+costs time linear in its count n^atoms.  A cell above ``DESCENT_CAP``
+(4096) classes is refused with ``ResourceCapError`` before any work.
 """
 
 import argparse

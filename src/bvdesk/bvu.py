@@ -18,6 +18,12 @@ sets and single B-valued sets, the two arrow-cancellation checks, and a
 restricted-transfer checker comparing classical truth over hereditarily
 finite sets with the Boolean truth value over standard names.
 
+Because B = P(n), a B-valued set x also splits into n hereditarily finite
+stalks x_i = { t_i : t in dom x, i in x(t) } (V^(B1 x B2) is V^(B1) x
+V^(B2)): atom i lies in [[x in y]] iff x_i in y_i and in [[x = y]] iff
+x_i = y_i.  Descent and the atom mixings enumerate their classes through
+the stalks, one mixing per class.
+
 B-valued sets are hash-consed: structurally identical sets are the same
 object, which makes the truth-value memo tables cheap and reliable.
 """
@@ -25,6 +31,7 @@ object, which makes the truth-value memo tables cheap and reliable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -34,10 +41,12 @@ from .boolalg import BoolElem, FiniteBooleanAlgebra, Partition, is_partition
 #: Default resource caps; exceeding them raises :class:`ResourceCapError`.
 RANK_CAP = 6
 DOM_CAP = 32
+#: Most classes :func:`descent` and :func:`atom_mixings` may return.
+DESCENT_CAP = 4096
 
 
 class ResourceCapError(ValueError):
-    """Raised when a construction exceeds the rank or domain-size cap."""
+    """Raised when a construction exceeds the rank, domain-size or class cap."""
 
 
 class EvalError(ValueError):
@@ -265,39 +274,63 @@ def ascent(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> BSet:
     return bset(algebra, [(x, top) for x in xs])
 
 
+def stalks(x: BSet, memo: dict[int, tuple[frozenset, ...]]) -> tuple[frozenset, ...]:
+    """The per-atom stalks x_i = { t_i : t in dom x, i in x(t) } of ``x``.
+
+    Atom i lies in [[x = y]] iff x_i = y_i and in [[x in y]] iff x_i in y_i.
+    ``memo`` maps uid to stalks; it belongs to the caller, who may share it
+    between calls.
+    """
+    got = memo.get(x.uid)
+    if got is None:
+        kids = [(stalks(t, memo), b.mask) for t, b in x.dom]
+        got = tuple(frozenset(s[i] for s, mask in kids if mask >> i & 1)
+                    for i in range(x.algebra.atom_count))
+        memo[x.uid] = got
+    return got
+
+
+def _class_mixings(algebra: FiniteBooleanAlgebra, candidates: Sequence[BSet],
+                   memo: dict, allowed: tuple[frozenset, ...] | None = None
+                   ) -> list[BSet]:
+    """One atom mixing per equivalence class of mixings of ``candidates``.
+
+    The mixing choosing c_i at atom i has stalk (c_i)_i at i, so its class
+    is fixed by one stalk per atom.  Per atom, keep the first candidate of
+    each distinct stalk (in ``allowed[i]`` when given); the product of these
+    lists is the lexicographically first choice of every class, in order.
+    """
+    per_atom = []
+    for i in range(algebra.atom_count):
+        first: dict[frozenset, BSet] = {}
+        for t in candidates:
+            s = stalks(t, memo)[i]
+            if allowed is None or s in allowed[i]:
+                first.setdefault(s, t)
+        per_atom.append(tuple(first.values()))
+    count = math.prod(len(c) for c in per_atom)
+    if count > DESCENT_CAP:
+        raise ResourceCapError(f"{count} mixing classes exceed cap {DESCENT_CAP}")
+    atom_blocks = tuple(algebra.atom(i) for i in range(algebra.atom_count))
+    return [mix(atom_blocks, choice) for choice in itertools.product(*per_atom)]
+
+
 def descent(x: BSet) -> list[BSet]:
     """All members of full membership truth, up to truth-value equivalence.
 
     Over a finite algebra every partition refines the partition into atoms,
-    so mixings of dom(x) indexed by single atoms exhaust the candidates.
-    Returns one representative per equivalence class y with [[y in x]] = 1.
+    so mixings of dom(x) indexed by single atoms exhaust the candidates; the
+    mixing choosing c_i at atom i is a full member iff (c_i)_i in x_i.
+    Returns one representative per equivalence class y with [[y in x]] = 1,
+    the first mixing of its class in lexicographic order of choices.
     """
-    algebra = x.algebra
-    candidates = [t for t, _ in x.dom]
-    if not candidates:
-        return []
-    atom_blocks = tuple(algebra.atom(i) for i in range(algebra.atom_count))
-    reps: list[BSet] = []
-    for choice in itertools.product(candidates, repeat=algebra.atom_count):
-        y = mix(atom_blocks, list(choice))
-        if not truth_mem(y, x).is_one:
-            continue
-        if not any(equivalent(y, r) for r in reps):
-            reps.append(y)
-    return reps
+    memo: dict = {}
+    return _class_mixings(x.algebra, [t for t, _ in x.dom], memo, stalks(x, memo))
 
 
 def atom_mixings(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> list[BSet]:
     """All mixings of ``xs`` over the atom partition, up to equivalence."""
-    if not xs:
-        return []
-    atom_blocks = tuple(algebra.atom(i) for i in range(algebra.atom_count))
-    reps: list[BSet] = []
-    for choice in itertools.product(xs, repeat=algebra.atom_count):
-        y = mix(atom_blocks, list(choice))
-        if not any(equivalent(y, r) for r in reps):
-            reps.append(y)
-    return reps
+    return _class_mixings(algebra, xs, {})
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,7 @@ def cmd_ops_derivations(args) -> RunReport:
 def cmd_bilinear_classify(args) -> RunReport:
     t = ops.tensor_from_json(_load_json(args.tensor))
     rep = ops.bilinear_report(t)
-    report = RunReport("bilinear classify", _digest({"shape": len(t)}), args.seed)
+    report = RunReport("bilinear classify", _digest(ops.tensor_to_json(t)), args.seed)
     report.add("separately-band-preserving", True, str(rep.separately_band_preserving))
     report.add("symmetric", True, str(rep.symmetric))
     report.add("orthosymmetric", True, str(rep.orthosymmetric))

@@ -14,6 +14,11 @@ Grammar (whitespace-insensitive between tokens)::
 All quantifiers are bounded by construction: a quantifier always ranges
 over a term, so unbounded formulas cannot be written.  The AST also carries
 an ``Iff`` connective for programmatic use; it has no concrete syntax.
+
+Input nested deeper than :data:`MAX_DEPTH` levels (parentheses, quantifiers,
+negations, implications, or a syntax tree of that height) is refused with a
+:class:`ParseError`, so neither the parser nor the recursive evaluators can
+exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -95,6 +100,9 @@ class Exists:
 
 Formula = Union[Eq, Mem, Not, And, Or, Implies, Iff, Forall, Exists]
 
+#: Deepest nesting, and tallest syntax tree, that :func:`parse` accepts.
+MAX_DEPTH = 100
+
 _KEYWORDS = {"forall", "exists", "in"}
 
 _TOKEN_RE = re.compile(
@@ -131,6 +139,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -151,13 +160,25 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "EOF":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if _height(f) > MAX_DEPTH:
+            raise ParseError(f"formula is nested deeper than {MAX_DEPTH} levels", 0)
         return f
 
+    def enter(self) -> None:
+        """Open one more level of parser recursion, refusing too many."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula is nested deeper than {MAX_DEPTH} levels",
+                             self.peek()[2])
+
     def formula(self) -> Formula:
-        kind = self.peek()[0]
-        if kind in ("forall", "exists"):
-            return self.quant()
-        return self.impl()
+        self.enter()
+        if self.peek()[0] in ("forall", "exists"):
+            f = self.quant()
+        else:
+            f = self.impl()
+        self.depth -= 1
+        return f
 
     def quant(self) -> Formula:
         kw = self.next()
@@ -173,8 +194,11 @@ class _Parser:
         left = self.disj()
         if self.peek()[0] == "->":
             self.next()
+            self.enter()
             # right-associative: a -> b -> c parses as a -> (b -> c)
-            return Implies(left, self.impl())
+            f = Implies(left, self.impl())
+            self.depth -= 1
+            return f
         return left
 
     def disj(self) -> Formula:
@@ -194,7 +218,10 @@ class _Parser:
     def neg(self) -> Formula:
         if self.peek()[0] == "!":
             self.next()
-            return Not(self.neg())
+            self.enter()
+            f = Not(self.neg())
+            self.depth -= 1
+            return f
         return self.atom()
 
     def atom(self) -> Formula:
@@ -222,6 +249,20 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse a formula; raises :class:`ParseError` with position on failure."""
     return _Parser(text).parse()
+
+
+def _height(f: Formula) -> int:
+    """Height of the syntax tree (an atom has height 1), without recursion."""
+    tallest = 0
+    stack = [(f, 1)]
+    while stack:
+        node, h = stack.pop()
+        tallest = max(tallest, h)
+        if isinstance(node, (Not, Forall, Exists)):
+            stack.append((node.body, h + 1))
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            stack.extend(((node.left, h + 1), (node.right, h + 1)))
+    return tallest
 
 
 def free_names(f: Formula) -> frozenset[str]:

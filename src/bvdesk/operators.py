@@ -451,6 +451,10 @@ def matrix_to_json(m: Matrix) -> list:
     return [[rat_str(e) for e in row] for row in m]
 
 
+def tensor_to_json(t: Tensor) -> list:
+    return [[[rat_str(e) for e in row] for row in plane] for plane in t]
+
+
 def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, list):
         raise ValueError("matrix JSON must be a row-major array of arrays")

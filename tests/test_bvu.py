@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from bvdesk.battery import BATTERY, run_battery, von_neumann_natural_formula
 from bvdesk.boolalg import FiniteBooleanAlgebra, Partition
+from bvdesk import bvu
 from bvdesk.bvu import (DOM_CAP, EvalError, ResourceCapError, ascent,
                         atom_mixings, bounded_transfer_check, bset,
                         bset_from_json, canonicalize, classical_eval, descent,
                         env_from_json, equivalent, escher_check, eval_formula,
-                        existential_witnesses, hf_literal, mix, standard_name,
-                        truth_eq, truth_mem)
+                        existential_witnesses, hf_literal, mix, stalks,
+                        standard_name, truth_eq, truth_mem)
 from bvdesk.formula import parse
 
 A2 = FiniteBooleanAlgebra(2)
@@ -185,6 +187,115 @@ class TestAscentDescent:
         # nothing attains full membership truth when the only value is partial
         x = bset(A2, [(standard_name(A2, 0), A2.element([0]))])
         assert descent(x) == []
+
+
+def reference_descent(x):
+    """Oracle: mix every |dom|^atoms choice, keep the full members, and
+    deduplicate by truth-value equivalence in first-seen order."""
+    algebra = x.algebra
+    candidates = [t for t, _ in x.dom]
+    if not candidates:
+        return []
+    atom_blocks = tuple(algebra.atom(i) for i in range(algebra.atom_count))
+    reps = []
+    for choice in itertools.product(candidates, repeat=algebra.atom_count):
+        y = mix(atom_blocks, list(choice))
+        if not truth_mem(y, x).is_one:
+            continue
+        if not any(equivalent(y, r) for r in reps):
+            reps.append(y)
+    return reps
+
+
+def reference_atom_mixings(algebra, xs):
+    """Oracle: every atom mixing of ``xs``, deduplicated in first-seen order."""
+    if not xs:
+        return []
+    atom_blocks = tuple(algebra.atom(i) for i in range(algebra.atom_count))
+    reps = []
+    for choice in itertools.product(xs, repeat=algebra.atom_count):
+        y = mix(atom_blocks, list(choice))
+        if not any(equivalent(y, r) for r in reps):
+            reps.append(y)
+    return reps
+
+
+def random_small_bset(rng, algebra, max_rank):
+    """A random B-valued set of rank <= max_rank with at most 4 children."""
+    if max_rank == 0:
+        return bset(algebra, ())
+    pairs = [(random_small_bset(rng, algebra, rng.randint(0, max_rank - 1)),
+              algebra.from_mask(rng.randrange(algebra.full_mask + 1)))
+             for _ in range(rng.randint(0, 4))]
+    return bset(algebra, pairs)
+
+
+def assert_same_objects(got, want):
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+class TestStalks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_descent_and_mixings_match_reference(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        x = random_small_bset(rng, algebra, 3)
+        assert_same_objects(descent(x), reference_descent(x))
+        xs = [random_small_bset(rng, algebra, 2) for _ in range(rng.randint(0, 4))]
+        assert_same_objects(atom_mixings(algebra, xs),
+                            reference_atom_mixings(algebra, xs))
+
+    def test_names_match_reference(self):
+        for atoms in (1, 2, 3):
+            algebra = FiniteBooleanAlgebra(atoms)
+            names = [standard_name(algebra, n) for n in range(4)]
+            for n in range(4):
+                assert_same_objects(descent(names[n]), reference_descent(names[n]))
+                assert_same_objects(atom_mixings(algebra, names[:n]),
+                                    reference_atom_mixings(algebra, names[:n]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    def test_truth_values_are_atomwise_stalk_relations(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        sets = [random_small_bset(rng, algebra, 3) for _ in range(4)]
+        memo = {}
+        for x, y in itertools.product(sets, repeat=2):
+            sx, sy = stalks(x, memo), stalks(y, memo)
+            eq, mem = truth_eq(x, y).mask, truth_mem(x, y).mask
+            for i in range(atoms):
+                assert bool(eq >> i & 1) == (sx[i] == sy[i])
+                assert bool(mem >> i & 1) == (sx[i] in sy[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    def test_descent_size_is_product_of_member_stalks(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        x = random_small_bset(rng, algebra, 3)
+        memo = {}
+        sx = stalks(x, memo)
+        members = [{stalks(t, memo)[i] for t, _ in x.dom} & sx[i]
+                   for i in range(atoms)]
+        assert len(descent(x)) == math.prod(len(m) for m in members)
+
+    def test_stalks_of_standard_names_are_the_set(self):
+        for n in range(4):
+            assert stalks(name(n), {}) == (hf_literal(n),) * 4
+
+    def test_descent_cap_refuses_before_mixing(self):
+        assert len(descent(standard_name(FiniteBooleanAlgebra(6), 4))) == bvu.DESCENT_CAP
+        algebra = FiniteBooleanAlgebra(7)
+        names = [standard_name(algebra, n) for n in range(5)]
+        interned = len(bvu._INTERN)
+        with pytest.raises(ResourceCapError):
+            descent(names[4])  # 4^7 = 16 384 classes
+        with pytest.raises(ResourceCapError):
+            atom_mixings(algebra, names[:4])
+        assert len(bvu._INTERN) == interned
 
 
 class TestCanonicalize:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bvdesk
 from bvdesk.cli import main
 
 
@@ -58,6 +63,17 @@ class TestEval:
         code = main(["bvu", "eval", "--env", env_file, "--formula", "ghost = ghost"])
         assert code == 2
 
+    def test_deeply_nested_formula_exits_2(self, env_file):
+        formula = "(" * 2000 + "empty = empty" + ")" * 2000
+        env = dict(os.environ, PYTHONPATH=str(Path(bvdesk.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bvdesk.cli", "bvu", "eval", "--env", env_file,
+             "--formula", formula],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "nested deeper" in proc.stderr
+
     def test_missing_file_exits_2(self, capsys):
         code = main(["bvu", "eval", "--env", "/nonexistent.json",
                      "--formula", "a = a"])
@@ -109,6 +125,15 @@ class TestBilinear:
         assert code == 0
         assert data["report"]["separately_band_preserving"] is True
         assert data["report"]["multiplier"] == {"coords": ["2", "3"]}
+
+    def test_digest_covers_entries(self, capsys, tmp_path):
+        digests = []
+        for entry in ("1", "2"):
+            path = tmp_path / f"t{entry}.json"
+            path.write_text(json.dumps([[[entry]]]))
+            _, data = run_json(capsys, ["bilinear", "classify", "--tensor", str(path)])
+            digests.append(data["inputs"])
+        assert digests[0] != digests[1]
 
 
 class TestRefine:

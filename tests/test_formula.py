@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdesk.formula import (And, Eq, Exists, Forall, Iff, Implies, Mem, Not,
-                            Or, ParseError, Var, free_names, parse, unparse)
+from bvdesk.formula import (MAX_DEPTH, And, Eq, Exists, Forall, Iff, Implies,
+                            Mem, Not, Or, ParseError, Var, free_names, parse,
+                            unparse)
 
 
 class TestParsing:
@@ -56,6 +57,21 @@ class TestParsing:
     def test_keywords_are_not_identifiers(self):
         with pytest.raises(ParseError):
             parse("forall forall in x : a = a")
+
+
+@pytest.mark.parametrize("nest", [
+    lambda n: "(" * n + "a = a" + ")" * n,
+    lambda n: "!" * n + "a = a",
+    lambda n: "forall t in a : " * n + "a = a",
+    lambda n: " -> ".join(["a = a"] * n),
+    lambda n: " | ".join(["a = a"] * n),
+    lambda n: " & ".join(["a in a"] * n),
+])
+def test_nesting_depth_is_capped(nest):
+    parse(nest(MAX_DEPTH - 1))
+    for n in (MAX_DEPTH + 1, 2000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(nest(n))
 
 
 def test_free_names():
