@@ -25,7 +25,7 @@ from .acceptance import DEFAULT_SEED, random_boolelem, random_vector
 from .battery import run_battery
 from .boolalg import (BoolElem, FiniteBooleanAlgebra, axioms_hold_on_triple,
                       sigma_criteria_check)
-from .formula import Exists, ParseError, parse
+from .formula import Exists, Formula, ParseError, parse, quantifier_depth
 from .lattice import gordon_check, rat_str
 from .pnfin import BUILTIN_CHAINS, chain_from_spec
 
@@ -63,6 +63,12 @@ class RunReport:
             suffix = f" -- {witness}" if witness else ""
             lines.append(f"[{mark}] {name}{suffix}")
         return "\n".join(lines)
+
+
+#: Most evaluations ``bvu eval`` may start, counted as the widest domain among
+#: the environment's sets and their hereditary members raised to the
+#: formula's quantifier depth.
+EVAL_CAP = 10 ** 5
 
 
 def _digest(obj) -> str:
@@ -107,6 +113,7 @@ def cmd_bvu_eval(args) -> RunReport:
     algebra = FiniteBooleanAlgebra(args.atoms)
     env = bvu.env_from_json(env_spec, algebra)
     f = parse(args.formula)
+    _check_eval_cost(f, env)
     value = bvu.eval_formula(f, env, algebra)
     report = RunReport("bvu eval",
                        _digest({"env": env_spec, "formula": args.formula,
@@ -124,6 +131,22 @@ def cmd_bvu_eval(args) -> RunReport:
                    "a single candidate attains the join" if attained is not None
                    else "join attained only by mixing")
     return report
+
+
+def _check_eval_cost(f: Formula, env: dict[str, bvu.BSet]) -> None:
+    """Refuse a formula whose quantifiers could run more than EVAL_CAP evaluations."""
+    widest, seen, stack = 0, set(), list(env.values())
+    while stack:
+        x = stack.pop()
+        if x.uid not in seen:
+            seen.add(x.uid)
+            widest = max(widest, len(x.dom))
+            stack.extend(x.children())
+    depth = quantifier_depth(f)
+    if widest ** depth > EVAL_CAP:
+        raise bvu.ResourceCapError(
+            f"{depth} nested quantifiers over domains of up to {widest} members "
+            f"need up to {widest}^{depth} evaluations, above the cap {EVAL_CAP}")
 
 
 def cmd_bvu_transfer(args) -> RunReport:
@@ -384,7 +407,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, KeyError,
+            contfrac.PeriodDetectionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if args.json:

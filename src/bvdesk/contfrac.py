@@ -26,10 +26,17 @@ from .boolalg import Partition
 from .lattice import LatticeVector
 
 
+#: Largest radicand the public constructor accepts: its squarefree split is
+#: trial division up to sqrt(d), about 10^6 steps at the cap.
+RADICAND_CAP = 10 ** 12
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Write d = f^2 * d0 with d0 squarefree; returns (f, d0)."""
     if d < 1:
         raise ValueError("the radicand must be a positive integer")
+    if d > RADICAND_CAP:
+        raise ValueError(f"the radicand {d} exceeds the cap {RADICAND_CAP}")
     f = 1
     d0 = d
     k = 2
@@ -56,12 +63,13 @@ class QuadraticSurd:
     d: int
 
     def __post_init__(self) -> None:
-        p, q, r, d = self.p, self.q, self.r, self.d
+        f, d0 = _squarefree_split(self.d)
+        self._normalize(self.p, self.q * f, self.r, d0)
+
+    def _normalize(self, p: int, q: int, r: int, d: int) -> None:
+        """Store the canonical form of (p + q*sqrt(d))/r for squarefree d."""
         if r == 0:
             raise ValueError("denominator r must be nonzero")
-        f, d0 = _squarefree_split(d)
-        q *= f
-        d = d0
         if d == 1:
             p, q = p + q, 0
             # keep d = 1 as the rational marker
@@ -69,13 +77,23 @@ class QuadraticSurd:
             d = 1
         if r < 0:
             p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
+        g = math.gcd(p, q, r)
         if g > 1:
             p, q, r = p // g, q // g, r // g
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "d", d)
+
+    def _same_radicand(self, p: int, q: int, r: int) -> "QuadraticSurd":
+        """The canonical (p + q*sqrt(self.d))/r, skipping the squarefree split.
+
+        Every surd derived from this one shares its already squarefree
+        radicand, so only user input pays for the split.
+        """
+        surd = object.__new__(QuadraticSurd)
+        surd._normalize(p, q, r, self.d)
+        return surd
 
     # -- constructors --------------------------------------------------------
 
@@ -120,16 +138,11 @@ class QuadraticSurd:
 
     def compare_fraction(self, value: Fraction | int) -> int:
         """Sign of (self - value)."""
-        f = Fraction(value)
-        diff = QuadraticSurd(self.p * f.denominator - f.numerator * self.r,
-                             self.q * f.denominator,
-                             self.r * f.denominator,
-                             self.d)
-        return diff.sign()
+        return self.sub_fraction(value).sign()
 
     def abs_value(self) -> "QuadraticSurd":
         if self.sign() < 0:
-            return QuadraticSurd(-self.p, -self.q, self.r, self.d)
+            return self._same_radicand(-self.p, -self.q, self.r)
         return self
 
     # -- arithmetic used by the Gauss map ---------------------------------------
@@ -139,19 +152,18 @@ class QuadraticSurd:
             raise ZeroDivisionError("reciprocal of zero")
         p, q, r, d = self.p, self.q, self.r, self.d
         if q == 0:
-            return QuadraticSurd(r, 0, p, 1)
+            return self._same_radicand(r, 0, p)
         norm = p * p - q * q * d  # nonzero: sqrt(d) is irrational
-        return QuadraticSurd(r * p, -r * q, norm, d)
+        return self._same_radicand(r * p, -r * q, norm)
 
     def sub_int(self, n: int) -> "QuadraticSurd":
-        return QuadraticSurd(self.p - n * self.r, self.q, self.r, self.d)
+        return self._same_radicand(self.p - n * self.r, self.q, self.r)
 
     def sub_fraction(self, value: Fraction | int) -> "QuadraticSurd":
         f = Fraction(value)
-        return QuadraticSurd(self.p * f.denominator - f.numerator * self.r,
-                             self.q * f.denominator,
-                             self.r * f.denominator,
-                             self.d)
+        return self._same_radicand(self.p * f.denominator - f.numerator * self.r,
+                                   self.q * f.denominator,
+                                   self.r * f.denominator)
 
     def __repr__(self) -> str:
         if self.is_rational:

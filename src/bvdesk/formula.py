@@ -252,17 +252,28 @@ def parse(text: str) -> Formula:
 
 
 def _height(f: Formula) -> int:
-    """Height of the syntax tree (an atom has height 1), without recursion."""
-    tallest = 0
-    stack = [(f, 1)]
+    """Height of the syntax tree (an atom has height 1)."""
+    return _deepest(f, (Eq, Mem, Not, And, Or, Implies, Iff, Forall, Exists))
+
+
+def quantifier_depth(f: Formula) -> int:
+    """Most quantifiers nested on one path of the syntax tree."""
+    return _deepest(f, (Forall, Exists))
+
+
+def _deepest(f: Formula, counted: tuple[type, ...]) -> int:
+    """Most nodes of the counted types on one root-to-leaf path, without recursion."""
+    deepest = 0
+    stack = [(f, 0)]
     while stack:
         node, h = stack.pop()
-        tallest = max(tallest, h)
+        h += isinstance(node, counted)
+        deepest = max(deepest, h)
         if isinstance(node, (Not, Forall, Exists)):
-            stack.append((node.body, h + 1))
+            stack.append((node.body, h))
         elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.extend(((node.left, h + 1), (node.right, h + 1)))
-    return tallest
+            stack.extend(((node.left, h), (node.right, h)))
+    return deepest
 
 
 def free_names(f: Formula) -> frozenset[str]:

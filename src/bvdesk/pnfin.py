@@ -19,7 +19,10 @@ only in the finitely many elements picked before stage n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import eq, ge
 from typing import Callable
 
 
@@ -31,47 +34,88 @@ class StrictnessError(ValueError):
     """Raised when an enumerator fails to be strictly increasing."""
 
 
+#: Largest number of elements one bulk extension of a prefix enumerates
+#: beyond what is asked for; bounds the overshoot of a value-driven search.
+_CHUNK = 512
+
+
 class InfiniteSubsetStream:
-    """A strictly increasing enumerator with memoized, strictness-checked prefix."""
+    """A strictly increasing enumerator with a memoized, checked prefix.
+
+    Elements 1..n are held densely in a list, extended in bulk; each
+    extension checks its new values, and the one before them, for being
+    naturals in strictly increasing order.  Elements beyond the prefix that
+    galloping or bisection reaches are kept in a small dict, checked
+    against whichever neighbours are known.
+    """
 
     def __init__(self, enumerator: Callable[[int], int], name: str = "stream"):
         self.name = name
         self._enumerator = enumerator
-        self._cache: dict[int, int] = {}
-        self.checked_horizon = 0
+        self._prefix: list[int] = []
+        self._far: dict[int, int] = {}
 
     def element(self, k: int) -> int:
         """The k-th element (1-based)."""
         if k < 1:
             raise ValueError("indices are 1-based")
-        value = self._cache.get(k)
+        prefix = self._prefix
+        if k <= len(prefix):
+            return prefix[k - 1]
+        if k == len(prefix) + 1:
+            self.check_prefix(k)
+            return prefix[k - 1]
+        value = self._far.get(k)
         if value is None:
             value = self._enumerator(k)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{self.name}: enumerator must produce naturals")
-            self._cache[k] = value
-            prev = self._cache.get(k - 1)
-            if prev is not None and prev >= value:
-                raise StrictnessError(
-                    f"{self.name}: enumerator({k - 1}) = {prev} >= enumerator({k}) = {value}")
-            nxt = self._cache.get(k + 1)
+            self._check_values(k, self._far.get(k - 1, -1), (value,))
+            nxt = self._far.get(k + 1)
             if nxt is not None and value >= nxt:
-                raise StrictnessError(
-                    f"{self.name}: enumerator({k}) = {value} >= enumerator({k + 1}) = {nxt}")
+                raise self._not_increasing(k, value, nxt)
+            self._far[k] = value
         return value
 
     def check_prefix(self, horizon: int) -> None:
-        """Verify strictness on indices 1..horizon (memoized)."""
-        if horizon <= self.checked_horizon:
+        """Enumerate and check elements 1..horizon (memoized), reusing far elements."""
+        prefix, far = self._prefix, self._far
+        start = len(prefix) + 1
+        if horizon < start:
             return
-        prev = self.element(max(self.checked_horizon, 1))
-        for k in range(max(self.checked_horizon, 1) + 1, horizon + 1):
-            cur = self.element(k)
-            if cur <= prev:
-                raise StrictnessError(
-                    f"{self.name}: enumerator not strictly increasing at index {k}")
-            prev = cur
-        self.checked_horizon = horizon
+        if len(far) < horizon - start:
+            absorbed = sorted(k for k in far if k <= horizon)
+        else:
+            absorbed = [k for k in range(start, horizon + 1) if k in far]
+        new: list[int] = []
+        for k in absorbed:
+            new += map(self._enumerator, range(start, k))
+            new.append(far[k])
+            start = k + 1
+        new += map(self._enumerator, range(start, horizon + 1))
+        last = prefix[-1] if prefix else -1
+        if (not all(map(isinstance, new, repeat(int)))
+                or last >= new[0] or any(map(ge, new, new[1:]))):
+            self._check_values(len(prefix) + 1, last, new)
+        nxt = far.get(horizon + 1)
+        if nxt is not None and new[-1] >= nxt:
+            raise self._not_increasing(horizon, new[-1], nxt)
+        for k in absorbed:
+            del far[k]
+        prefix += new
+
+    def _check_values(self, k: int, last: int, values) -> None:
+        """Check that the values of indices k, k+1, ... are naturals increasing
+        from ``last``; raise for the first that is not."""
+        for value in values:
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"{self.name}: enumerator must produce naturals")
+            if last >= value:
+                raise self._not_increasing(k - 1, last, value)
+            last = value
+            k += 1
+
+    def _not_increasing(self, k: int, value: int, nxt: int) -> StrictnessError:
+        return StrictnessError(
+            f"{self.name}: enumerator({k}) = {value} >= enumerator({k + 1}) = {nxt}")
 
     def membership(self, m: int, horizon: int) -> bool:
         """True iff m appears among the first ``horizon`` elements.
@@ -80,10 +124,11 @@ class InfiniteSubsetStream:
         :class:`HorizonError` (enlarge the horizon to decide them).
         """
         self.check_prefix(horizon)
-        if m > self.element(horizon):
-            raise HorizonError(
-                f"{self.name}: {m} exceeds element({horizon}) = {self.element(horizon)}")
-        return self._index_of(m, horizon) is not None
+        top = self.element(horizon)
+        if m > top:
+            raise HorizonError(f"{self.name}: {m} exceeds element({horizon}) = {top}")
+        prefix = self._prefix
+        return prefix[bisect_left(prefix, m, 0, horizon)] == m
 
     def contains(self, m: int) -> bool:
         """Unbounded membership by galloping search over the total enumerator.
@@ -92,8 +137,13 @@ class InfiniteSubsetStream:
         O(log position) enumerator evaluations are made, so sparse levels of
         closed-form chains stay cheap even at astronomically large values.
         """
+        prefix = self._prefix
+        if prefix and m <= prefix[-1]:
+            return prefix[bisect_left(prefix, m)] == m
         hi = 1
-        while self.element(hi) < m:
+        while (v := self.element(hi)) < m:
+            if hi > m:  # strictly increasing naturals have element(k) >= k - 1
+                raise StrictnessError(f"{self.name}: element({hi}) = {v} is below {m}")
             hi *= 2
         return self._index_of(m, hi) is not None
 
@@ -113,10 +163,14 @@ class InfiniteSubsetStream:
     def least_above(self, m: int, horizon: int) -> int:
         """The least element exceeding m, searched within the horizon."""
         self.check_prefix(min(horizon, 64))
-        lo, hi = 1, horizon
+        prefix = self._prefix
+        n = min(len(prefix), max(horizon, 0))
+        if n and prefix[n - 1] > m:
+            return prefix[bisect_right(prefix, m, 0, n)]
         if self.element(horizon) <= m:
             raise HorizonError(
                 f"{self.name}: no element above {m} within horizon {horizon}")
+        lo, hi = n + 1, horizon
         while lo < hi:
             mid = (lo + hi) // 2
             if self.element(mid) > m:
@@ -125,9 +179,29 @@ class InfiniteSubsetStream:
                 lo = mid + 1
         return self.element(lo)
 
+    def _first_missing(self, values: list[int]) -> int | None:
+        """The first of the increasing ``values`` that is not an element.
 
-def membership(s: InfiniteSubsetStream, m: int, horizon: int) -> bool:
-    return s.membership(m, horizon)
+        The prefix is extended in bounded chunks only as far as the values
+        up to the first missing one require.
+        """
+        prefix = self._prefix
+        i = 0
+        while i < len(values):
+            if not prefix or prefix[-1] < values[i]:
+                # a bounded chunk, at most doubling the prefix
+                self.check_prefix(len(prefix) + min(max(len(prefix), 16), _CHUNK))
+                continue
+            j = bisect_right(values, prefix[-1], i)
+            batch = values[i:j]
+            lo = bisect_left(prefix, batch[0])
+            merged = prefix[lo:bisect_right(prefix, batch[-1], lo)] + batch
+            merged.sort()  # merges the two increasing runs in one pass
+            # every value present pairs with its equal in the prefix
+            if sum(map(eq, merged, merged[1:])) != len(batch):
+                return next(v for v in batch if prefix[bisect_left(prefix, v)] != v)
+            i = j
+        return None
 
 
 @dataclass
@@ -176,18 +250,12 @@ def verify_decreasing(chain: DecreasingChain, depth: int, horizon: int) -> Decre
     if depth < 2:
         raise ValueError("depth must be at least 2")
     for n in range(1, depth):
-        upper = chain.stream(n)
         lower = chain.stream(n + 1)
         lower.check_prefix(horizon)
-        j = 1
-        for i in range(1, horizon + 1):
-            v = lower.element(i)
-            while upper.element(j) < v:
-                j += 1
-            if upper.element(j) != v:
-                return DecreasingReport(ok=False, depth=depth, horizon=horizon,
-                                        first_violation=(n, v))
-        upper.check_prefix(j)
+        missing = chain.stream(n)._first_missing(lower._prefix[:max(horizon, 0)])
+        if missing is not None:
+            return DecreasingReport(ok=False, depth=depth, horizon=horizon,
+                                    first_violation=(n, missing))
     return DecreasingReport(ok=True, depth=depth, horizon=horizon, first_violation=None)
 
 

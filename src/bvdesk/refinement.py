@@ -25,6 +25,7 @@ g is refined from every absorbed cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -197,20 +198,11 @@ def constancy_refinement_check(g: LatticeVector, n_bound: int | None = None
     finite list of tested indices stands in for the full countable family.
     """
     if n_bound is None:
-        lcm = 1
-        for c in g.coords:
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-        n_bound = 2 * lcm
+        n_bound = 2 * math.lcm(*(c.denominator for c in g.coords))
     part = constancy_partition(g)
     ok = all(is_refined_from(part, level_partitions(g, n))
              for n in range(1, n_bound + 1))
     return ConstancyReport(ok=ok, tested_up_to=n_bound, partition=part)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import bvdesk
-from bvdesk.cli import main
+from bvdesk.battery import BASE_ENV, BATTERY
+from bvdesk.cli import EVAL_CAP, main
 
 
 @pytest.fixture
@@ -40,6 +42,13 @@ def run_json(capsys, argv):
     return code, data
 
 
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bvdesk.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "bvdesk.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestEval:
     def test_truth_value_full(self, capsys, env_file):
         code, data = run_json(capsys, [
@@ -65,11 +74,7 @@ class TestEval:
 
     def test_deeply_nested_formula_exits_2(self, env_file):
         formula = "(" * 2000 + "empty = empty" + ")" * 2000
-        env = dict(os.environ, PYTHONPATH=str(Path(bvdesk.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bvdesk.cli", "bvu", "eval", "--env", env_file,
-             "--formula", formula],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_process(["bvu", "eval", "--env", env_file, "--formula", formula])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "nested deeper" in proc.stderr
@@ -78,6 +83,30 @@ class TestEval:
         code = main(["bvu", "eval", "--env", "/nonexistent.json",
                      "--formula", "a = a"])
         assert code == 2
+
+    def test_quantifier_work_capped(self, capsys, tmp_path):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"x": {"hf": 2}}))
+        formula = "forall a in x : " * 99 + "x = x"
+        start = time.perf_counter()
+        code = main(["bvu", "eval", "--atoms", "3", "--env", str(path), "--formula", formula])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert f"cap {EVAL_CAP}" in capsys.readouterr().err
+
+    def test_battery_and_documented_examples_under_cap(self, capsys, tmp_path):
+        path = tmp_path / "env.json"
+        env = {name: {"hf": value} for name, value in BASE_ENV.items()}
+        env["y"] = {"dom": [[{"hf": []}, {"atoms": [0]}]]}  # the README's example
+        path.write_text(json.dumps(env))
+        for item in BATTERY:
+            code, data = run_json(capsys, ["bvu", "eval", "--env", str(path),
+                                           "--formula", item.text])
+            assert code == 0
+            assert data["truth_value"] == {"atoms": [0, 1] if item.expected else []}
+        code, data = run_json(capsys, ["bvu", "eval", "--env", str(path), "--formula",
+                                       "forall t in one : t = empty", "--atoms", "2"])
+        assert code == 0 and data["truth_value"] == {"atoms": [0, 1]}
 
 
 class TestTransfer:
@@ -172,6 +201,19 @@ class TestContfrac:
 
     def test_missing_value_exits_2(self, capsys):
         assert main(["cf", "expand"]) == 2
+
+    def test_radicand_above_cap_exits_2(self):
+        proc = run_process(["cf", "expand", "--surd=-1000000000,1,1,1000000000000000000039",
+                            "--json"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "exceeds the cap" in proc.stderr
+
+    def test_period_search_cap_exits_2(self):
+        proc = run_process(["cf", "expand", "--surd=-31622,1,1,1000000007", "--json"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("input error: no period within")
 
 
 class TestPnfin:

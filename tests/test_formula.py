@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from bvdesk.formula import (MAX_DEPTH, And, Eq, Exists, Forall, Iff, Implies,
                             Mem, Not, Or, ParseError, Var, free_names, parse,
-                            unparse)
+                            quantifier_depth, unparse)
 
 
 class TestParsing:
@@ -57,6 +57,14 @@ class TestParsing:
     def test_keywords_are_not_identifiers(self):
         with pytest.raises(ParseError):
             parse("forall forall in x : a = a")
+
+    def test_quantifier_depth(self):
+        assert quantifier_depth(parse("a = b")) == 0
+        assert quantifier_depth(parse("forall t in a : t in a")) == 1
+        assert quantifier_depth(parse(
+            "(forall a in x : forall b in a : b in x) & (exists c in x : c = c)")) == 2
+        assert quantifier_depth(parse("!(exists a in x : a = a) -> "
+                                      "(forall a in x : (a = a | (exists b in a : b = b)))")) == 2
 
 
 @pytest.mark.parametrize("nest", [
