@@ -8,7 +8,7 @@ Exit status is 0 iff every criterion passes.  Equivalent to
 import argparse
 import sys
 
-from bvdesk.acceptance import DEFAULT_SEED, run_all
+from bvdesk.acceptance import DEFAULT_SEED, run_all, seconds_text
 
 
 def main() -> int:
@@ -19,9 +19,9 @@ def main() -> int:
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
-    total = sum(r.seconds for r in results)
+    total_ns = sum(r.elapsed_ns for r in results)
     print(f"-- {len(results) - len(failed)}/{len(results)} criteria passed "
-          f"in {total:.1f}s (seed {args.seed})")
+          f"in {seconds_text(total_ns, 1)} (seed {args.seed})")
     return 1 if failed else 0
 
 

@@ -32,11 +32,12 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
+    elapsed_ns: int
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] criterion {self.number:2d} {self.name}: {self.detail} ({self.seconds:.2f}s)"
+        return (f"[{status}] criterion {self.number:2d} {self.name}: {self.detail} "
+                f"({seconds_text(self.elapsed_ns, 2)})")
 
     def to_json(self) -> dict:
         return {
@@ -44,8 +45,15 @@ class CriterionResult:
             "name": self.name,
             "passed": self.passed,
             "detail": self.detail,
-            "seconds": round(self.seconds, 3),
+            "elapsed_ns": self.elapsed_ns,
         }
+
+
+def seconds_text(ns: int, places: int) -> str:
+    """Nanoseconds as seconds rounded half up to ``places`` >= 1 decimals, e.g. ``1.25s``."""
+    unit = 10 ** places
+    whole, frac = divmod((ns * unit + 500_000_000) // 1_000_000_000, unit)
+    return f"{whole}.{frac:0{places}d}s"
 
 
 # -- random generators ---------------------------------------------------------
@@ -100,7 +108,7 @@ def random_cover(rng: random.Random, algebra: FiniteBooleanAlgebra) -> list[Bool
 
 def criterion_1_truth_value_laws(seed: int) -> CriterionResult:
     """Reflexivity, symmetry, transitivity, and substitution, exactly."""
-    start = time.monotonic()
+    start = time.monotonic_ns()
     rng = random.Random(seed + 7919 * 1)
     trials = 334  # three fresh sets per trial: >= 1000 random B-valued sets
     checked = 0
@@ -122,8 +130,8 @@ def criterion_1_truth_value_laws(seed: int) -> CriterionResult:
             return _fail(1, "truth-value laws", "membership substitution failed", start)
         if not exy.meet(truth_mem(z, y)).leq(truth_mem(z, x)):
             return _fail(1, "truth-value laws", "element substitution failed", start)
-    elapsed = time.monotonic() - start
-    ok = elapsed < 30.0
+    elapsed = time.monotonic_ns() - start
+    ok = elapsed < 30 * 10 ** 9
     return CriterionResult(1, "truth-value laws", ok,
                            f"{checked} random sets, all five laws exact"
                            + ("" if ok else "; runtime ceiling 30s exceeded"),
@@ -131,7 +139,7 @@ def criterion_1_truth_value_laws(seed: int) -> CriterionResult:
 
 
 def criterion_2_mixing_principle(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     rng = random.Random(seed + 7919 * 2)
     trials = 1000
     for _ in range(trials):
@@ -147,7 +155,7 @@ def criterion_2_mixing_principle(seed: int) -> CriterionResult:
 
 
 def criterion_3_restricted_transfer(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     outcomes = []
     for atoms in (2, 3):
         outcomes.extend(run_battery(FiniteBooleanAlgebra(atoms)))
@@ -161,7 +169,7 @@ def criterion_3_restricted_transfer(seed: int) -> CriterionResult:
 
 
 def criterion_4_escher_rule(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     algebra = FiniteBooleanAlgebra(2)
     names = [standard_name(algebra, n) for n in range(3)]
     subsets = [[names[i] for i in range(3) if mask >> i & 1] for mask in range(8)]
@@ -175,7 +183,7 @@ def criterion_4_escher_rule(seed: int) -> CriterionResult:
 
 
 def criterion_5_projection_truth_identities(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     rng = random.Random(seed + 7919 * 5)
     trials = 1000
     for _ in range(trials):
@@ -191,8 +199,8 @@ def criterion_5_projection_truth_identities(seed: int) -> CriterionResult:
         if not gordon_check(b, x, y).ok:
             return _fail(5, "projection/truth identities",
                          f"failed for b={b!r}, x={x!r}, y={y!r}", start)
-    elapsed = time.monotonic() - start
-    ok = elapsed < 5.0
+    elapsed = time.monotonic_ns() - start
+    ok = elapsed < 5 * 10 ** 9
     return CriterionResult(5, "projection/truth identities", ok,
                            f"{trials} random triples, both equivalences exact"
                            + ("" if ok else "; runtime ceiling 5s exceeded"),
@@ -200,7 +208,7 @@ def criterion_5_projection_truth_identities(seed: int) -> CriterionResult:
 
 
 def criterion_6_multiplier_recovery(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     rng = random.Random(seed + 7919 * 6)
     trials = 1000
     for _ in range(trials):
@@ -226,7 +234,7 @@ def criterion_6_multiplier_recovery(seed: int) -> CriterionResult:
 
 
 def criterion_7_derivations_trivial(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     dims = []
     for n in range(1, 9):
         space = ops.derivation_space(n)
@@ -234,8 +242,8 @@ def criterion_7_derivations_trivial(seed: int) -> CriterionResult:
         if space.dimension != 0:
             return _fail(7, "no nontrivial derivations",
                          f"nullspace dimension {space.dimension} at {n} atoms", start)
-    elapsed = time.monotonic() - start
-    ok = elapsed < 10.0
+    elapsed = time.monotonic_ns() - start
+    ok = elapsed < 10 * 10 ** 9
     return CriterionResult(7, "no nontrivial derivations", ok,
                            "exact nullspace dimension 0 for atom counts 1..8"
                            + ("" if ok else "; runtime ceiling 10s exceeded"),
@@ -243,7 +251,7 @@ def criterion_7_derivations_trivial(seed: int) -> CriterionResult:
 
 
 def criterion_8_endomorphisms_and_automorphisms(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     rng = random.Random(seed + 7919 * 8)
     trials = 1000
     for _ in range(trials):
@@ -279,7 +287,7 @@ def criterion_8_endomorphisms_and_automorphisms(seed: int) -> CriterionResult:
 
 
 def criterion_9_bilinear_classification(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     rng = random.Random(seed + 7919 * 9)
     trials = 1000
     for _ in range(trials):
@@ -323,7 +331,7 @@ def criterion_9_bilinear_classification(seed: int) -> CriterionResult:
 
 
 def criterion_10_distributivity_criteria(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     algebra = FiniteBooleanAlgebra(2)
     elements = list(algebra.elements())
     count = 0
@@ -353,7 +361,7 @@ def _all_matrices(elements: Sequence[BoolElem], rows: int, cols: int):
 
 
 def criterion_11_refined_function(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     algebra = FiniteBooleanAlgebra(4)
     fixture_covers = [
         [algebra.element([0, 1]), algebra.element([2, 3])],
@@ -382,7 +390,7 @@ def criterion_11_refined_function(seed: int) -> CriterionResult:
 
 
 def criterion_12_pseudo_intersection(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     for name, factory in pnfin.BUILTIN_CHAINS.items():
         result = pnfin.pseudo_intersection(factory(), count=50, horizon=10_000)
         if any(a >= b for a, b in zip(result.elements, result.elements[1:])):
@@ -394,7 +402,7 @@ def criterion_12_pseudo_intersection(seed: int) -> CriterionResult:
 
 
 def criterion_13_continued_fractions(seed: int) -> CriterionResult:
-    start = time.monotonic()
+    start = time.monotonic_ns()
     rng = random.Random(seed + 7919 * 13)
     for _ in range(1000):
         den = rng.randint(2, 10_000)
@@ -417,12 +425,12 @@ def criterion_13_continued_fractions(seed: int) -> CriterionResult:
                  "convergent error bound verified for k <= 10", start)
 
 
-def _pass(number: int, name: str, detail: str, start: float) -> CriterionResult:
-    return CriterionResult(number, name, True, detail, time.monotonic() - start)
+def _pass(number: int, name: str, detail: str, start: int) -> CriterionResult:
+    return CriterionResult(number, name, True, detail, time.monotonic_ns() - start)
 
 
-def _fail(number: int, name: str, detail: str, start: float) -> CriterionResult:
-    return CriterionResult(number, name, False, detail, time.monotonic() - start)
+def _fail(number: int, name: str, detail: str, start: int) -> CriterionResult:
+    return CriterionResult(number, name, False, detail, time.monotonic_ns() - start)
 
 
 ALL_CRITERIA: tuple[Callable[[int], CriterionResult], ...] = (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -35,7 +36,7 @@ class FiniteBooleanAlgebra:
         if self.atom_count < 1:
             raise ValueError("atom_count must be a positive integer")
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.atom_count) - 1
 
@@ -70,9 +71,6 @@ class FiniteBooleanAlgebra:
         for mask in range(self.full_mask + 1):
             yield BoolElem(self, mask)
 
-    def atom_partition(self) -> "Partition":
-        return Partition(tuple(self.atom(i) for i in range(self.atom_count)))
-
     def sup(self, xs: Iterable["BoolElem"]) -> "BoolElem":
         """Supremum of a family; the empty supremum is 0."""
         mask = 0
@@ -97,7 +95,7 @@ class FiniteBooleanAlgebra:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolElem:
     """An element of a finite Boolean algebra: a set of atoms as a bitmask."""
 

@@ -22,7 +22,13 @@ Because B = P(n), a B-valued set x also splits into n hereditarily finite
 stalks x_i = { t_i : t in dom x, i in x(t) } (V^(B1 x B2) is V^(B1) x
 V^(B2)): atom i lies in [[x in y]] iff x_i in y_i and in [[x = y]] iff
 x_i = y_i.  Descent and the atom mixings enumerate their classes through
-the stalks, one mixing per class.
+the stalks, one mixing per class; canonical forms and the arrow checks
+compare classes by their stalks, and :func:`eval_atomwise` evaluates a
+formula classically on the stalks, atom by atom.
+
+Truth values are computed on the algebra's int masks (meet ``&``, join
+``|``, implication ``~a | b``); a :class:`BoolElem` is built only where a
+public function returns one.
 
 B-valued sets are hash-consed: structurally identical sets are the same
 object, which makes the truth-value memo tables cheap and reliable.
@@ -61,10 +67,12 @@ class BSet:
     equality thanks to interning.
     """
 
-    __slots__ = ("algebra", "dom", "rank", "uid")
+    __slots__ = ("algebra", "dom", "support", "rank", "uid")
 
     algebra: FiniteBooleanAlgebra
     dom: tuple[tuple["BSet", BoolElem], ...]
+    #: The entries of ``dom`` with a nonzero value, as (child, mask) pairs.
+    support: tuple[tuple["BSet", int], ...]
     rank: int
     uid: int
 
@@ -101,46 +109,57 @@ def bset(algebra: FiniteBooleanAlgebra,
     Duplicate children are merged by joining their values.  The children
     must already live over the same algebra.
     """
+    n = algebra.atom_count
+    merged: dict[int, tuple[BSet, int]] = {}
+    for child, val in pairs:
+        if child.algebra.atom_count != n:
+            raise ValueError("child B-valued set lives over a different algebra")
+        if val.algebra.atom_count != n:
+            raise ValueError("value lies in a different algebra")
+        got = merged.get(child.uid)
+        merged[child.uid] = (child, val.mask if got is None else got[1] | val.mask)
+    return _intern(algebra, merged, max_rank, max_dom)
+
+
+def _intern(algebra: FiniteBooleanAlgebra, merged: dict[int, tuple[BSet, int]],
+            max_rank: int | None = None, max_dom: int | None = None) -> BSet:
+    """The interned set whose entries are the (child, mask) values of
+    ``merged``, a dict keyed by child uid over children of ``algebra``."""
     max_rank = RANK_CAP if max_rank is None else max_rank
     max_dom = DOM_CAP if max_dom is None else max_dom
-    merged: dict[int, tuple[BSet, BoolElem]] = {}
-    for child, val in pairs:
-        if child.algebra.atom_count != algebra.atom_count:
-            raise ValueError("child B-valued set lives over a different algebra")
-        if val.algebra.atom_count != algebra.atom_count:
-            raise ValueError("value lies in a different algebra")
-        if child.uid in merged:
-            merged[child.uid] = (child, merged[child.uid][1].join(val))
-        else:
-            merged[child.uid] = (child, val)
-    dom = tuple(merged[uid] for uid in sorted(merged))
-    if len(dom) > max_dom:
-        raise ResourceCapError(f"domain size {len(dom)} exceeds cap {max_dom}")
-    rank = 1 + max((t.rank for t, _ in dom), default=-1)
+    if len(merged) > max_dom:
+        raise ResourceCapError(f"domain size {len(merged)} exceeds cap {max_dom}")
+    entries = [merged[uid] for uid in sorted(merged)]
+    key = (algebra.atom_count, tuple([(t.uid, m) for t, m in entries]))
+    obj = _INTERN.get(key)
+    rank = obj.rank if obj is not None else 1 + max([t.rank for t, _ in entries], default=-1)
     if rank > max_rank:
         raise ResourceCapError(f"rank {rank} exceeds cap {max_rank}")
-    key = (algebra.atom_count, tuple((t.uid, b.mask) for t, b in dom))
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    obj = object.__new__(BSet)
-    object.__setattr__(obj, "algebra", algebra)
-    object.__setattr__(obj, "dom", dom)
-    object.__setattr__(obj, "rank", rank)
-    object.__setattr__(obj, "uid", next(_UIDS))
-    _INTERN[key] = obj
+    if obj is None:
+        obj = object.__new__(BSet)
+        object.__setattr__(obj, "algebra", algebra)
+        object.__setattr__(obj, "dom", tuple([(t, BoolElem(algebra, m)) for t, m in entries]))
+        object.__setattr__(obj, "support", tuple([e for e in entries if e[1]]))
+        object.__setattr__(obj, "rank", rank)
+        object.__setattr__(obj, "uid", next(_UIDS))
+        _INTERN[key] = obj
     return obj
 
 
 # -- truth values ------------------------------------------------------------
 
-_MEM_CACHE: dict[tuple[int, int], BoolElem] = {}
-_EQ_CACHE: dict[tuple[int, int], BoolElem] = {}
+# Masks of [[x in y]] and [[x = y]] keyed by (x.uid, y.uid), for the recursion.
+_MEM_CACHE: dict[tuple[int, int], int] = {}
+_EQ_CACHE: dict[tuple[int, int], int] = {}
+# The elements truth_mem and truth_eq have returned, by the same keys, so that
+# a repeated query is a single lookup.
+_MEM_ANSWERS: dict[tuple[int, int], BoolElem] = {}
+_EQ_ANSWERS: dict[tuple[int, int], BoolElem] = {}
 
 
 def clear_truth_caches() -> None:
-    _MEM_CACHE.clear()
-    _EQ_CACHE.clear()
+    for table in (_MEM_CACHE, _EQ_CACHE, _MEM_ANSWERS, _EQ_ANSWERS):
+        table.clear()
 
 
 def _check_same(x: BSet, y: BSet) -> None:
@@ -150,19 +169,12 @@ def _check_same(x: BSet, y: BSet) -> None:
 
 def truth_mem(x: BSet, y: BSet) -> BoolElem:
     """The Boolean truth value [[x in y]]."""
-    _check_same(x, y)
     key = (x.uid, y.uid)
-    hit = _MEM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    acc = 0
-    for t, b in y.dom:
-        if b.is_zero:
-            continue
-        acc |= (b.meet(truth_eq(t, x))).mask
-    result = y.algebra.from_mask(acc)
-    _MEM_CACHE[key] = result
-    return result
+    got = _MEM_ANSWERS.get(key)
+    if got is None:
+        _check_same(x, y)
+        got = _MEM_ANSWERS[key] = BoolElem(y.algebra, _mem(x, y))
+    return got
 
 
 def truth_eq(x: BSet, y: BSet) -> BoolElem:
@@ -171,29 +183,48 @@ def truth_eq(x: BSet, y: BSet) -> BoolElem:
     Computed structurally even for x is y (reflexivity is a theorem of the
     recursion, not a special case; the cache keeps the cost negligible).
     """
-    _check_same(x, y)
     key = (x.uid, y.uid)
-    hit = _EQ_CACHE.get(key)
-    if hit is not None:
-        return hit
-    acc = x.algebra.full_mask
-    for t, b in x.dom:
-        acc &= b.implies(truth_mem(t, y)).mask
-        if acc == 0:
-            break
-    if acc != 0:
-        for t, b in y.dom:
-            acc &= b.implies(truth_mem(t, x)).mask
-            if acc == 0:
-                break
-    result = x.algebra.from_mask(acc)
-    _EQ_CACHE[key] = result
-    return result
+    got = _EQ_ANSWERS.get(key)
+    if got is None:
+        _check_same(x, y)
+        got = _EQ_ANSWERS[key] = BoolElem(x.algebra, _eq(x, y))
+    return got
+
+
+def _mem(x: BSet, y: BSet) -> int:
+    """[[x in y]] = sup_t y(t) ^ [[t = x]] as a mask; x, y share an algebra."""
+    key = (x.uid, y.uid)
+    acc = _MEM_CACHE.get(key)
+    if acc is None:
+        acc = 0
+        for t, b in y.support:
+            if b & ~acc:
+                acc |= b & _eq(t, x)
+        _MEM_CACHE[key] = acc
+    return acc
+
+
+def _eq(x: BSet, y: BSet) -> int:
+    """[[x = y]] = inf_t (x(t) => [[t in y]]) ^ inf_t (y(t) => [[t in x]])
+    as a mask; x, y share an algebra."""
+    key = (x.uid, y.uid)
+    acc = _EQ_CACHE.get(key)
+    if acc is None:
+        acc = x.algebra.full_mask
+        for t, b in x.support:
+            if b & acc:
+                acc &= ~b | _mem(t, y)
+        for t, b in y.support:
+            if b & acc:
+                acc &= ~b | _mem(t, x)
+        _EQ_CACHE[key] = acc
+    return acc
 
 
 def equivalent(x: BSet, y: BSet) -> bool:
     """Truth-value equivalence: [[x = y]] = 1."""
-    return truth_eq(x, y).is_one
+    _check_same(x, y)
+    return _eq(x, y) == x.algebra.full_mask
 
 
 # -- standard names ----------------------------------------------------------
@@ -254,18 +285,34 @@ def mix(parts: Partition | Sequence[BoolElem], xs: Sequence[BSet],
     blocks = tuple(parts.blocks if isinstance(parts, Partition) else parts)
     if len(blocks) != len(xs):
         raise ValueError(f"partition has {len(blocks)} blocks but {len(xs)} sets given")
+    masks = _mixing_masks(blocks, xs)
+    return _mix(blocks[0].algebra, masks, xs, max_rank, max_dom)
+
+
+def _mixing_masks(blocks: Sequence[BoolElem], xs: Iterable[BSet]) -> list[int]:
+    """The masks of ``blocks``, once they are checked to be a partition of
+    unity and every set of ``xs`` to live over their algebra."""
     if not is_partition(blocks):
         raise ValueError("mixing requires a partition of unity")
-    algebra = blocks[0].algebra
-    children: dict[int, BSet] = {}
+    n = blocks[0].algebra.atom_count
+    if any(x.algebra.atom_count != n for x in xs):
+        raise ValueError("B-valued sets live over different algebras")
+    return [b.mask for b in blocks]
+
+
+def _mix(algebra: FiniteBooleanAlgebra, masks: Sequence[int], xs: Sequence[BSet],
+         max_rank: int | None = None, max_dom: int | None = None) -> BSet:
+    """Mixing of ``xs`` by the partition of unity with block masks ``masks``:
+    each child t of some x gets the value sup_i masks[i] ^ [[t in xs[i]]]."""
+    merged: dict[int, tuple[BSet, int]] = {}
     for x in xs:
         for t, _ in x.dom:
-            children[t.uid] = t
-    pairs = []
-    for t in children.values():
-        val = algebra.sup(b.meet(truth_mem(t, x)) for b, x in zip(blocks, xs))
-        pairs.append((t, val))
-    return bset(algebra, pairs, max_rank=max_rank, max_dom=max_dom)
+            if t.uid not in merged:
+                val = 0
+                for b, z in zip(masks, xs):
+                    val |= b & _mem(t, z)
+                merged[t.uid] = (t, val)
+    return _intern(algebra, merged, max_rank, max_dom)
 
 
 def ascent(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> BSet:
@@ -283,9 +330,9 @@ def stalks(x: BSet, memo: dict[int, tuple[frozenset, ...]]) -> tuple[frozenset, 
     """
     got = memo.get(x.uid)
     if got is None:
-        kids = [(stalks(t, memo), b.mask) for t, b in x.dom]
-        got = tuple(frozenset(s[i] for s, mask in kids if mask >> i & 1)
-                    for i in range(x.algebra.atom_count))
+        kids = [(stalks(t, memo), mask) for t, mask in x.support]
+        got = tuple([frozenset([s[i] for s, mask in kids if mask >> i & 1])
+                     for i in range(x.algebra.atom_count)])
         memo[x.uid] = got
     return got
 
@@ -300,6 +347,8 @@ def _class_mixings(algebra: FiniteBooleanAlgebra, candidates: Sequence[BSet],
     each distinct stalk (in ``allowed[i]`` when given); the product of these
     lists is the lexicographically first choice of every class, in order.
     """
+    atom_masks = _mixing_masks([algebra.atom(i) for i in range(algebra.atom_count)],
+                               candidates)
     per_atom = []
     for i in range(algebra.atom_count):
         first: dict[frozenset, BSet] = {}
@@ -311,8 +360,7 @@ def _class_mixings(algebra: FiniteBooleanAlgebra, candidates: Sequence[BSet],
     count = math.prod(len(c) for c in per_atom)
     if count > DESCENT_CAP:
         raise ResourceCapError(f"{count} mixing classes exceed cap {DESCENT_CAP}")
-    atom_blocks = tuple(algebra.atom(i) for i in range(algebra.atom_count))
-    return [mix(atom_blocks, choice) for choice in itertools.product(*per_atom)]
+    return [_mix(algebra, atom_masks, choice) for choice in itertools.product(*per_atom)]
 
 
 def descent(x: BSet) -> list[BSet]:
@@ -359,21 +407,20 @@ def escher_check(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> EscherRep
     """Verify ascent-then-descent = mixings, and descent-then-ascent identity.
 
     The first direction compares descent(ascent(xs)) with the atom-indexed
-    mixings of xs, as sets modulo truth-value equivalence.  The second
-    rebuilds y := ascent(xs) from its descent and checks [[y' = y]] = 1.
+    mixings of xs, as sets modulo truth-value equivalence, that is as sets
+    of stalk tuples.  The second rebuilds y := ascent(xs) from its descent
+    and checks [[y' = y]] = 1, that is equal stalks.
     """
     y = ascent(algebra, xs)
     down = descent(y)
     expected = atom_mixings(algebra, xs)
-    matches = (
-        len(down) == len(expected)
-        and all(any(equivalent(d, e) for e in expected) for d in down)
-        and all(any(equivalent(e, d) for d in down) for e in expected)
-    )
-    y_again = ascent(algebra, descent(y))
+    memo: dict = {}
+    matches = (len(down) == len(expected)
+               and {stalks(d, memo) for d in down} == {stalks(e, memo) for e in expected})
+    y_again = ascent(algebra, down)
     return EscherReport(
         up_down_ok=matches,
-        down_up_ok=equivalent(y_again, y),
+        down_up_ok=stalks(y_again, memo) == stalks(y, memo),
         up_down_classes=len(down),
         expected_classes=len(expected),
     )
@@ -382,21 +429,28 @@ def escher_check(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> EscherRep
 def canonicalize(x: BSet) -> BSet:
     """Canonical representative of the equivalence class of ``x``.
 
-    Children are canonicalized recursively, merged when truth-equivalent,
-    revalued by their membership truth [[t in x]], and zero-valued entries
-    are dropped.  Satisfies [[canonicalize(x) = x]] = 1.
+    Children are canonicalized recursively, merged when truth-equivalent
+    (equal stalks; the first in dom order represents its class), revalued
+    by their membership truth [[t in x]], and zero-valued entries are
+    dropped.  Satisfies [[canonicalize(x) = x]] = 1.
     """
-    canon_children: list[BSet] = []
-    for t, _ in x.dom:
-        ct = canonicalize(t)
-        if not any(equivalent(ct, r) for r in canon_children):
-            canon_children.append(ct)
-    pairs = []
-    for t in canon_children:
-        v = truth_mem(t, x)
-        if not v.is_zero:
-            pairs.append((t, v))
-    return bset(x.algebra, pairs)
+    return _canonical(x, {}, {})
+
+
+def _canonical(x: BSet, done: dict[int, BSet], memo: dict) -> BSet:
+    got = done.get(x.uid)
+    if got is None:
+        reps: dict[tuple[frozenset, ...], BSet] = {}
+        for t, _ in x.dom:
+            ct = _canonical(t, done, memo)
+            reps.setdefault(stalks(ct, memo), ct)
+        merged = {}
+        for ct in reps.values():
+            val = _mem(ct, x)
+            if val:
+                merged[ct.uid] = (ct, val)
+        got = done[x.uid] = _intern(x.algebra, merged)
+    return got
 
 
 # -- formula evaluation -------------------------------------------------------
@@ -418,47 +472,64 @@ def eval_formula(f: F.Formula, env: Mapping[str, BSet],
 
         [[forall v in z : p]] = inf_{t in dom z} ( z(t) => [[p(t)]] )
         [[exists v in z : p]] = sup_{t in dom z} ( z(t) ^  [[p(t)]] )
+
+    Every set of the environment must live over the algebra.
     """
+    algebra = _eval_algebra(f, env, algebra)
+    return BoolElem(algebra, _eval(f, dict(env), algebra.full_mask))
+
+
+def _eval_algebra(f: F.Formula, env: Mapping[str, BSet],
+                  algebra: FiniteBooleanAlgebra | None) -> FiniteBooleanAlgebra:
+    """The algebra of an evaluation of ``f``: given, or that of the
+    environment, once the environment is checked to bind every free name
+    (quantifiers skip children, so evaluation may not reach them all)."""
     if algebra is None:
         if not env:
             raise EvalError("cannot infer the algebra from an empty environment")
         algebra = next(iter(env.values())).algebra
-    return _eval(f, dict(env), algebra)
+    if any(x.algebra.atom_count != algebra.atom_count for x in env.values()):
+        raise ValueError("B-valued sets live over different algebras")
+    missing = sorted(F.free_names(f) - env.keys())
+    if missing:
+        raise EvalError(f"unbound constant {missing[0]!r}")
+    return algebra
 
 
-def _eval(f: F.Formula, env: dict[str, BSet], algebra: FiniteBooleanAlgebra) -> BoolElem:
+def _eval(f: F.Formula, env: dict[str, BSet], full: int) -> int:
+    """Truth value of ``f`` as a mask below ``full``, the algebra's top."""
     if isinstance(f, F.Eq):
-        return truth_eq(_resolve(f.left, env), _resolve(f.right, env))
+        return _eq(_resolve(f.left, env), _resolve(f.right, env))
     if isinstance(f, F.Mem):
-        return truth_mem(_resolve(f.left, env), _resolve(f.right, env))
+        return _mem(_resolve(f.left, env), _resolve(f.right, env))
     if isinstance(f, F.Not):
-        return _eval(f.body, env, algebra).complement()
+        return full ^ _eval(f.body, env, full)
     if isinstance(f, F.And):
-        return _eval(f.left, env, algebra).meet(_eval(f.right, env, algebra))
+        return _eval(f.left, env, full) & _eval(f.right, env, full)
     if isinstance(f, F.Or):
-        return _eval(f.left, env, algebra).join(_eval(f.right, env, algebra))
+        return _eval(f.left, env, full) | _eval(f.right, env, full)
     if isinstance(f, F.Implies):
-        return _eval(f.left, env, algebra).implies(_eval(f.right, env, algebra))
+        return (full ^ _eval(f.left, env, full)) | _eval(f.right, env, full)
     if isinstance(f, F.Iff):
-        a = _eval(f.left, env, algebra)
-        b = _eval(f.right, env, algebra)
-        return a.implies(b).meet(b.implies(a))
+        return full ^ (_eval(f.left, env, full) ^ _eval(f.right, env, full))
     if isinstance(f, (F.Forall, F.Exists)):
         z = _resolve(f.bound, env)
         saved = env.get(f.var)
-        acc = algebra.full_mask if isinstance(f, F.Forall) else 0
-        for t, b in z.dom:
-            env[f.var] = t
-            body = _eval(f.body, env, algebra)
-            if isinstance(f, F.Forall):
-                acc &= b.implies(body).mask
-            else:
-                acc |= b.meet(body).mask
+        forall = isinstance(f, F.Forall)
+        acc = full if forall else 0
+        # a child whose value adds nothing to acc is not evaluated
+        for t, b in z.support:
+            if forall and b & acc:
+                env[f.var] = t
+                acc &= ~b | _eval(f.body, env, full)
+            elif not forall and b & ~acc:
+                env[f.var] = t
+                acc |= b & _eval(f.body, env, full)
         if saved is None:
             env.pop(f.var, None)
         else:
             env[f.var] = saved
-        return algebra.from_mask(acc)
+        return acc
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -471,19 +542,39 @@ def existential_witnesses(f: F.Exists, env: Mapping[str, BSet],
     z(t) ^ [[p(t)]] for t in dom(z), and a candidate attaining the full
     join if one exists (None when the join is only attained by mixing).
     """
-    if algebra is None:
-        if not env:
-            raise EvalError("cannot infer the algebra from an empty environment")
-        algebra = next(iter(env.values())).algebra
+    algebra = _eval_algebra(f, env, algebra)
+    full = algebra.full_mask
     env2 = dict(env)
     z = _resolve(f.bound, env2)
-    contributions: list[tuple[BSet, BoolElem]] = []
+    masks: list[tuple[BSet, int]] = []
     for t, b in z.dom:
         env2[f.var] = t
-        contributions.append((t, b.meet(_eval(f.body, env2, algebra))))
-    total = algebra.sup(v for _, v in contributions)
-    attained = next((t for t, v in contributions if v == total), None)
-    return total, contributions, attained
+        masks.append((t, b.mask & _eval(f.body, env2, full)))
+    total = 0
+    for _, m in masks:
+        total |= m
+    attained = next((t for t, m in masks if m == total), None)
+    contributions = [(t, BoolElem(algebra, m)) for t, m in masks]
+    return BoolElem(algebra, total), contributions, attained
+
+
+def eval_atomwise(f: F.Formula, env: Mapping[str, BSet],
+                  algebra: FiniteBooleanAlgebra | None = None) -> BoolElem:
+    """Boolean truth value of a formula computed one atom at a time.
+
+    Atom i lies in the value iff the formula holds classically when every
+    name denotes its stalk at i (for B = 2^n, V^(B) is the product of n
+    classical universes).  It shares no code with :func:`eval_formula`
+    beyond :func:`stalks`, and serves as its independent check.
+    """
+    algebra = _eval_algebra(f, env, algebra)
+    memo: dict = {}
+    per_atom = {name: stalks(x, memo) for name, x in env.items()}
+    mask = 0
+    for i in range(algebra.atom_count):
+        if classical_eval(f, {name: st[i] for name, st in per_atom.items()}):
+            mask |= 1 << i
+    return BoolElem(algebra, mask)
 
 
 # -- classical evaluation and restricted transfer ------------------------------

@@ -26,7 +26,7 @@ from .battery import run_battery
 from .boolalg import (BoolElem, FiniteBooleanAlgebra, axioms_hold_on_triple,
                       sigma_criteria_check)
 from .formula import Exists, Formula, ParseError, parse, quantifier_depth
-from .lattice import gordon_check, rat_str
+from .lattice import gordon_check
 from .pnfin import BUILTIN_CHAINS, chain_from_spec
 
 
@@ -69,6 +69,9 @@ class RunReport:
 #: the environment's sets and their hereditary members raised to the
 #: formula's quantifier depth.
 EVAL_CAP = 10 ** 5
+#: Largest ``count * horizon`` that ``pnfin pi`` may ask for: the chain check
+#: enumerates up to ``horizon`` elements of each of ``count`` levels.
+PI_CAP = 10 ** 6
 
 
 def _digest(obj) -> str:
@@ -261,13 +264,16 @@ def cmd_cf_convergent(args) -> RunReport:
     pq = contfrac.expand(t)
     value = contfrac.convergent(pq, args.k)
     report = RunReport("cf convergent", _digest({**t.to_json(), "k": args.k}), args.seed)
-    report.add("convergent", True, rat_str(value))
+    report.add("convergent", True, str(value))
     report.payload["k"] = args.k
-    report.payload["convergent"] = rat_str(value)
+    report.payload["convergent"] = str(value)
     return report
 
 
 def cmd_pnfin_pi(args) -> RunReport:
+    if args.count * args.horizon > PI_CAP:
+        raise bvu.ResourceCapError(
+            f"count {args.count} times horizon {args.horizon} exceeds the cap {PI_CAP}")
     if args.spec:
         chain = chain_from_spec(_load_json(args.spec))
         digest = _digest(_load_json(args.spec))

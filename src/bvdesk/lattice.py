@@ -37,11 +37,6 @@ def rat(value: int | str | Fraction) -> Fraction:
     return Fraction(value.strip())
 
 
-def rat_str(value: Fraction) -> str:
-    """Canonical string form: lowest terms, positive denominator."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class AtomicLattice:
     """Configuration object tying vectors to a fixed atom count."""
@@ -67,12 +62,6 @@ class AtomicLattice:
 
     def zero(self) -> "LatticeVector":
         return LatticeVector(tuple(Fraction(0) for _ in range(self.atom_count)))
-
-    def basis_vector(self, i: int) -> "LatticeVector":
-        if not 0 <= i < self.atom_count:
-            raise ValueError("basis index out of range")
-        return LatticeVector(tuple(Fraction(1 if j == i else 0)
-                                   for j in range(self.atom_count)))
 
 
 @dataclass(frozen=True)
@@ -156,10 +145,10 @@ class LatticeVector:
         return all(a <= b for a, b in zip(self.coords, other.coords))
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(rat_str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
     def to_json(self) -> dict:
-        return {"coords": [rat_str(c) for c in self.coords]}
+        return {"coords": [str(c) for c in self.coords]}
 
     @staticmethod
     def from_json(obj: dict) -> "LatticeVector":
@@ -266,7 +255,7 @@ class LocalConstancyReport:
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
-            "witness": [[b.to_json(), rat_str(c)] for b, c in self.witness],
+            "witness": [[b.to_json(), str(c)] for b, c in self.witness],
             "failure_atom": self.failure_atom,
         }
 
@@ -350,11 +339,8 @@ class HamelExpansion:
             total = total.add(basis[idx].band_project(support).scale(coeff))
         return total
 
-    def partition_blocks(self) -> tuple[BoolElem, ...]:
-        return tuple(b for b, _, _ in self.blocks)
-
     def to_json(self) -> list:
-        return [{"support": b.to_json(), "basis_index": i, "coefficient": rat_str(c)}
+        return [{"support": b.to_json(), "basis_index": i, "coefficient": str(c)}
                 for b, i, c in self.blocks]
 
 

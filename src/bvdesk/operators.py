@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .boolalg import BoolElem, FiniteBooleanAlgebra
-from .lattice import LatticeVector, rat, rat_str
+from .lattice import LatticeVector, rat
 from .ratlinalg import nullspace_basis
 
 
@@ -76,10 +76,10 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def __repr__(self) -> str:
-        return f"({rat_str(self.re)}+{rat_str(self.im)}i)"
+        return f"({str(self.re)}+{str(self.im)}i)"
 
     def to_json(self) -> list[str]:
-        return [rat_str(self.re), rat_str(self.im)]
+        return [str(self.re), str(self.im)]
 
 
 Scalar = Fraction | GaussianRational
@@ -448,11 +448,11 @@ def bilinear_report(t: Tensor) -> BilinearReport:
 def matrix_to_json(m: Matrix) -> list:
     if is_complex_matrix(m):
         return [[GaussianRational.of(e).to_json() for e in row] for row in m]
-    return [[rat_str(e) for e in row] for row in m]
+    return [[str(e) for e in row] for row in m]
 
 
 def tensor_to_json(t: Tensor) -> list:
-    return [[[rat_str(e) for e in row] for row in plane] for plane in t]
+    return [[[str(e) for e in row] for row in plane] for plane in t]
 
 
 def matrix_from_json(obj) -> Matrix:

@@ -313,20 +313,32 @@ def pseudo_intersection(chain: DecreasingChain, count: int,
 
 # -- built-in chain families -----------------------------------------------------
 
+#: Largest prime index :func:`nth_prime` serves: 2^19, above the index
+#: ``bvdesk pnfin pi`` can reach under ``cli.PI_CAP``.
+PRIME_INDEX_CAP = 1 << 19
+#: Sieve bound covering the first PRIME_INDEX_CAP primes: for k >= 6,
+#: p_k < k (ln k + ln ln k) (Rosser 1941), which is below 16 k at k = 2^19.
+_SIEVE_CEILING = 16 * PRIME_INDEX_CAP
+
 _PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
 
 
 def nth_prime(k: int) -> int:
-    """The k-th prime (1-based), from a growing sieve."""
+    """The k-th prime (1-based), from a sieve that grows up to a fixed ceiling.
+
+    Indices above ``PRIME_INDEX_CAP`` are refused before any sieving.
+    """
     if k < 1:
         raise ValueError("prime indices are 1-based")
+    if k > PRIME_INDEX_CAP:
+        raise ValueError(f"prime index {k} exceeds cap {PRIME_INDEX_CAP}")
     while len(_PRIMES) < k:
         _extend_primes()
     return _PRIMES[k - 1]
 
 
 def _extend_primes() -> None:
-    limit = max(2 * _PRIMES[-1], 100)
+    limit = min(max(2 * _PRIMES[-1], 100), _SIEVE_CEILING)
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):

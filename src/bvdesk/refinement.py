@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .boolalg import BoolElem, Cover, FiniteBooleanAlgebra, Partition, is_refined_from
-from .lattice import LatticeVector, rat_str
+from .lattice import LatticeVector
 
 MAX_DOUBLINGS_PER_COVER = 64
 
@@ -222,8 +222,8 @@ class SeparationRecord:
         return {
             "atom_pair": list(self.atom_pair),
             "level": self.level,
-            "gap": rat_str(self.gap),
-            "bound": rat_str(self.bound),
+            "gap": str(self.gap),
+            "bound": str(self.bound),
             "ok": self.ok,
         }
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from bvdesk.battery import BATTERY, run_battery, von_neumann_natural_formula
 from bvdesk.boolalg import FiniteBooleanAlgebra, Partition
 from bvdesk import bvu
-from bvdesk.bvu import (DOM_CAP, EvalError, ResourceCapError, ascent,
-                        atom_mixings, bounded_transfer_check, bset,
+from bvdesk.bvu import (DOM_CAP, EscherReport, EvalError, ResourceCapError,
+                        ascent, atom_mixings, bounded_transfer_check, bset,
                         bset_from_json, canonicalize, classical_eval, descent,
-                        env_from_json, equivalent, escher_check, eval_formula,
-                        existential_witnesses, hf_literal, mix, stalks,
-                        standard_name, truth_eq, truth_mem)
+                        env_from_json, equivalent, escher_check, eval_atomwise,
+                        eval_formula, existential_witnesses, hf_literal, mix,
+                        stalks, standard_name, truth_eq, truth_mem)
+from bvdesk import formula as F
 from bvdesk.formula import parse
 
 A2 = FiniteBooleanAlgebra(2)
@@ -141,6 +142,8 @@ class TestMixing:
     def test_non_partition_rejected(self):
         with pytest.raises(ValueError):
             mix([A4.element([0, 1]), A4.element([1, 2, 3])], [name(0), name(1)])
+        with pytest.raises(ValueError):
+            mix([], [])
 
 
 class TestAscentDescent:
@@ -298,6 +301,251 @@ class TestStalks:
         assert len(bvu._INTERN) == interned
 
 
+# -- reference oracle: the BoolElem recursion the mask core replaced -------------
+
+_REF_MEM: dict = {}
+_REF_EQ: dict = {}
+
+
+def reference_truth_mem(x, y):
+    """[[x in y]] computed with BoolElem operations, memoized by uid pair."""
+    key = (x.uid, y.uid)
+    hit = _REF_MEM.get(key)
+    if hit is None:
+        if x.algebra.atom_count != y.algebra.atom_count:
+            raise ValueError("B-valued sets live over different algebras")
+        hit = y.algebra.bottom
+        for t, b in y.dom:
+            hit = hit.join(b.meet(reference_truth_eq(t, x)))
+        _REF_MEM[key] = hit
+    return hit
+
+
+def reference_truth_eq(x, y):
+    """[[x = y]] computed with BoolElem operations, memoized by uid pair."""
+    key = (x.uid, y.uid)
+    hit = _REF_EQ.get(key)
+    if hit is None:
+        if x.algebra.atom_count != y.algebra.atom_count:
+            raise ValueError("B-valued sets live over different algebras")
+        hit = x.algebra.top
+        for t, b in x.dom:
+            hit = hit.meet(b.implies(reference_truth_mem(t, y)))
+        for t, b in y.dom:
+            hit = hit.meet(b.implies(reference_truth_mem(t, x)))
+        _REF_EQ[key] = hit
+    return hit
+
+
+def reference_equivalent(x, y):
+    return reference_truth_eq(x, y).is_one
+
+
+def reference_mix(blocks, xs):
+    algebra = blocks[0].algebra
+    children = {t.uid: t for x in xs for t, _ in x.dom}
+    return bset(algebra, [
+        (t, algebra.sup(b.meet(reference_truth_mem(t, x)) for b, x in zip(blocks, xs)))
+        for t in children.values()])
+
+
+def reference_canonicalize(x):
+    """Children canonicalized, deduplicated pairwise in dom order, revalued."""
+    reps = []
+    for t, _ in x.dom:
+        ct = reference_canonicalize(t)
+        if not any(reference_equivalent(ct, r) for r in reps):
+            reps.append(ct)
+    return bset(x.algebra, [(t, reference_truth_mem(t, x)) for t in reps
+                            if not reference_truth_mem(t, x).is_zero])
+
+
+def reference_eval(f, env, algebra):
+    if isinstance(f, F.Eq):
+        return reference_truth_eq(env[f.left.name], env[f.right.name])
+    if isinstance(f, F.Mem):
+        return reference_truth_mem(env[f.left.name], env[f.right.name])
+    if isinstance(f, F.Not):
+        return reference_eval(f.body, env, algebra).complement()
+    if isinstance(f, (F.And, F.Or, F.Implies, F.Iff)):
+        a = reference_eval(f.left, env, algebra)
+        b = reference_eval(f.right, env, algebra)
+        if isinstance(f, F.And):
+            return a.meet(b)
+        if isinstance(f, F.Or):
+            return a.join(b)
+        if isinstance(f, F.Implies):
+            return a.implies(b)
+        return a.implies(b).meet(b.implies(a))
+    z = env[f.bound.name]
+    values = [(b, reference_eval(f.body, {**env, f.var: t}, algebra)) for t, b in z.dom]
+    if isinstance(f, F.Forall):
+        return algebra.inf(b.implies(v) for b, v in values)
+    return algebra.sup(b.meet(v) for b, v in values)
+
+
+def reference_escher(algebra, xs):
+    """Arrow checks with pairwise equivalence loops."""
+    y = ascent(algebra, xs)
+    down = descent(y)
+    expected = atom_mixings(algebra, xs)
+    matches = (len(down) == len(expected)
+               and all(any(reference_equivalent(d, e) for e in expected) for d in down)
+               and all(any(reference_equivalent(e, d) for d in down) for e in expected))
+    return EscherReport(matches, reference_equivalent(ascent(algebra, down), y),
+                        len(down), len(expected))
+
+
+def random_formula(rng, names, depth):
+    """A random formula over ``names``, at most ``depth`` connectives deep."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = F.Eq if rng.random() < 0.5 else F.Mem
+        return kind(F.Var(rng.choice(names)), F.Var(rng.choice(names)))
+    k = rng.randrange(8)
+    if k == 0:
+        return F.Not(random_formula(rng, names, depth - 1))
+    if k <= 4:
+        return (F.And, F.Or, F.Implies, F.Iff)[k - 1](random_formula(rng, names, depth - 1),
+                                                     random_formula(rng, names, depth - 1))
+    var = rng.choice([f"v{depth}", *names])  # may shadow a name in scope
+    return (F.Forall if k <= 6 else F.Exists)(
+        var, F.Var(rng.choice(names)), random_formula(rng, names + [var], depth - 1))
+
+
+def random_family(rng, algebra, count):
+    return [random_small_bset(rng, algebra, 3) for _ in range(count)]
+
+
+def random_blocks(rng, algebra):
+    """A random partition of unity as a list of BoolElems."""
+    labels = [rng.randrange(3) for _ in range(algebra.atom_count)]
+    return [algebra.element([i for i, lab in enumerate(labels) if lab == block])
+            for block in sorted(set(labels))]
+
+
+class TestMaskCore:
+    """The mask core against the BoolElem recursion and the atomwise stalks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_truth_values_match_both_oracles(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        sets = random_family(rng, algebra, 5)
+        memo = {}
+        for x, y in itertools.product(sets, repeat=2):
+            eq, mem = truth_eq(x, y), truth_mem(x, y)
+            assert eq == reference_truth_eq(x, y)
+            assert mem == reference_truth_mem(x, y)
+            assert equivalent(x, y) == reference_equivalent(x, y)
+            sx, sy = stalks(x, memo), stalks(y, memo)
+            assert eq.mask == sum(1 << i for i in range(atoms) if sx[i] == sy[i])
+            assert mem.mask == sum(1 << i for i in range(atoms) if sx[i] in sy[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_formulas_match_both_oracles(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        env = dict(zip(("a", "b", "c"), random_family(rng, algebra, 3)))
+        for _ in range(4):
+            f = random_formula(rng, list(env), 3)
+            value = eval_formula(f, env, algebra)
+            assert value == reference_eval(f, env, algebra)
+            assert value == eval_atomwise(f, env)
+        g = F.Exists("w", F.Var(rng.choice(list(env))), random_formula(rng, [*env, "w"], 2))
+        total, contributions, attained = existential_witnesses(g, env, algebra)
+        z = env[g.bound.name]
+        want = [(t, b.meet(reference_eval(g.body, {**env, "w": t}, algebra)))
+                for t, b in z.dom]
+        assert total == reference_eval(g, env, algebra)
+        assert contributions == want
+        assert attained is next((t for t, v in want if v == total), None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_mix_matches_reference(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        blocks = random_blocks(rng, algebra)
+        xs = random_family(rng, algebra, len(blocks))
+        m = mix(blocks, xs)
+        assert m is reference_mix(blocks, xs)
+        assert m is mix(Partition(tuple(blocks)), xs)
+        for b, x in zip(blocks, xs):
+            assert b.leq(truth_eq(m, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_canonicalize_matches_reference_and_keeps_stalks(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        for x in random_family(rng, algebra, 4):
+            c = canonicalize(x)
+            assert c is reference_canonicalize(x)
+            assert stalks(c, {}) == stalks(x, {})
+            assert all(b.mask for _, b in c.dom)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_escher_matches_reference(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        xs = random_family(rng, algebra, rng.randint(0, 3))
+        assert escher_check(algebra, xs) == reference_escher(algebra, xs)
+
+    def test_quantifier_restores_a_shadowed_name(self):
+        env = {"one": name(1), "two": name(2), "three": name(3)}
+        f = parse("(forall one in three : one in three) & !(one = two)")
+        assert eval_formula(f, env).is_one
+        assert eval_atomwise(f, env).is_one
+
+    def test_escher_detects_a_wrong_descent(self, monkeypatch):
+        xs = [name(0, A2), name(1, A2)]
+        right = bvu.descent
+        monkeypatch.setattr(bvu, "descent", lambda y: right(y)[:-1] + [name(3, A2)])
+        report = escher_check(A2, xs)
+        assert report.up_down_classes == report.expected_classes == 4
+        assert not report.up_down_ok and not report.down_up_ok
+
+    def test_cross_algebra_calls_raise(self):
+        x2, x3 = standard_name(A2, 1), standard_name(FiniteBooleanAlgebra(3), 1)
+        y2 = bset(A2, [(standard_name(A2, 0), A2.element([0]))])
+        for call in (lambda: truth_eq(x2, x3), lambda: truth_mem(x3, x2),
+                     lambda: equivalent(x2, x3),
+                     lambda: mix(Partition((A2.top,)), [x3]),
+                     lambda: mix([A2.element([0]), A2.element([1])], [y2, x3]),
+                     lambda: bset(A2, [(x3, A2.top)]),
+                     lambda: bset(A2, [(x2, A4.top)]),
+                     lambda: atom_mixings(A2, [x2, x3]),
+                     lambda: atom_mixings(A2, [x3]),
+                     lambda: escher_check(A2, [x3])):
+            with pytest.raises(ValueError):
+                call()
+        env = {"a": x2, "b": x3}
+        for f in ("a = b", "a in a"):
+            with pytest.raises(ValueError):
+                eval_formula(parse(f), env)
+            with pytest.raises(ValueError):
+                eval_atomwise(parse(f), env)
+        with pytest.raises(ValueError):
+            eval_formula(parse("a = a"), {"a": x3}, A2)
+        with pytest.raises(ValueError):
+            existential_witnesses(parse("exists t in a : t = a"), env)
+
+    def test_atomwise_unbound_and_empty_environment(self):
+        with pytest.raises(EvalError):
+            eval_atomwise(parse("ghost = ghost"), {"empty": name(0)})
+        with pytest.raises(EvalError):
+            eval_atomwise(parse("a = a"), {})
+
+    def test_memo_tables_hold_masks(self):
+        bvu.clear_truth_caches()
+        assert truth_eq(name(2), name(3)).is_zero
+        assert bvu._EQ_CACHE and bvu._MEM_CACHE
+        assert all(type(v) is int for v in (*bvu._EQ_CACHE.values(), *bvu._MEM_CACHE.values()))
+
+
 class TestCanonicalize:
     def test_canonical_form_is_equivalent(self):
         rng = random.Random(11)
@@ -309,6 +557,17 @@ class TestCanonicalize:
         x = bset(A4, [(name(0), A4.bottom), (name(1), A4.top)])
         c = canonicalize(x)
         assert len(c.dom) == 1
+
+    def test_equivalent_children_merge_into_the_first(self):
+        # b = {0^@1, d@0} equals a = {0^@1}, but its canonical form keeps d at
+        # [[d = 0^]] = {1}, so the two canonical children differ and are merged
+        d = bset(A2, [(name(0, A2), A2.element([0]))])
+        a = bset(A2, [(name(0, A2), A2.top)])
+        b = bset(A2, [(name(0, A2), A2.top), (d, A2.bottom)])
+        assert a.uid < b.uid and equivalent(a, b)
+        assert canonicalize(a) is not canonicalize(b)
+        c = canonicalize(bset(A2, [(a, A2.top), (b, A2.top)]))
+        assert [t for t, _ in c.dom] == [canonicalize(a)]
 
 
 class TestEval:
@@ -326,6 +585,18 @@ class TestEval:
     def test_unbound_constant(self):
         with pytest.raises(EvalError):
             eval_formula(parse("ghost = ghost"), self.ENV)
+
+    def test_unbound_constant_in_a_skipped_body(self):
+        # Only zero-valued entries: no body is evaluated, yet the name is unbound.
+        x = bset(A4, [(name(0), A4.bottom), (name(1), A4.bottom)])
+        for f in ("forall a in x : a = ghost", "exists a in x : ghost in a",
+                  "(exists a in x : a = a) & ghost = x"):
+            with pytest.raises(EvalError, match="ghost"):
+                eval_formula(parse(f), {"x": x})
+            with pytest.raises(EvalError, match="ghost"):
+                eval_atomwise(parse(f), {"x": x})
+        with pytest.raises(EvalError, match="ghost"):
+            existential_witnesses(parse("exists a in x : a = ghost"), {"x": x})
 
     def test_bound_variable_shadows_env(self):
         f = parse("forall one in two : one in two")
@@ -401,7 +672,10 @@ class TestResourceCaps:
     def test_rank_cap(self):
         with pytest.raises(ResourceCapError):
             standard_name(A2, 7)
-        assert standard_name(A2, 7, max_rank=8).rank == 7
+        seven = standard_name(A2, 7, max_rank=8)
+        assert seven.rank == 7
+        with pytest.raises(ResourceCapError):  # interned already, still over the cap
+            bset(A2, [(c, A2.top) for c in seven.children()])
 
     def test_dom_cap(self):
         algebra = FiniteBooleanAlgebra(6)
@@ -410,6 +684,12 @@ class TestResourceCaps:
                     for m in range(DOM_CAP + 1)]  # distinct rank-1 sets
         with pytest.raises(ResourceCapError):
             bset(algebra, [(c, algebra.top) for c in children])
+
+
+def test_bset_joins_the_values_of_a_repeated_child():
+    x = bset(A4, [(name(0), A4.element([0])), (name(0), A4.element([2]))])
+    assert x.dom == ((name(0), A4.element([0, 2])),)
+    assert x.support == ((name(0), 0b101),)
 
 
 def test_bset_json_round_trip():

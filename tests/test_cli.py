@@ -9,7 +9,8 @@ import pytest
 
 import bvdesk
 from bvdesk.battery import BASE_ENV, BATTERY
-from bvdesk.cli import EVAL_CAP, main
+from bvdesk import cli
+from bvdesk.cli import EVAL_CAP, PI_CAP, main
 
 
 @pytest.fixture
@@ -71,6 +72,14 @@ class TestEval:
     def test_unbound_constant_exits_2(self, capsys, env_file):
         code = main(["bvu", "eval", "--env", env_file, "--formula", "ghost = ghost"])
         assert code == 2
+
+    def test_unbound_constant_under_zero_valued_entries_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"x": {"dom": [[{"hf": 0}, {"atoms": []}]]}}))
+        code = main(["bvu", "eval", "--env", str(path),
+                     "--formula", "forall a in x : a = ghost"])
+        assert code == 2
+        assert "unbound constant 'ghost'" in capsys.readouterr().err
 
     def test_deeply_nested_formula_exits_2(self, env_file):
         formula = "(" * 2000 + "empty = empty" + ")" * 2000
@@ -233,6 +242,31 @@ class TestPnfin:
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["pnfin", "pi", "--family", "bogus"]) == 2
+
+    def test_count_times_horizon_above_cap_refused_before_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("pseudo_intersection ran past the cap")
+
+        monkeypatch.setattr(cli.pnfin, "pseudo_intersection", no_work)
+        count = 2
+        horizon = PI_CAP // count + 1
+        assert main(["pnfin", "pi", "--family", "primes-thinned", "--count", str(count),
+                     "--horizon", str(horizon)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert main(["pnfin", "pi", "--family", "tails", "--count", "50",
+                     "--horizon", str(10 ** 12)]) == 2
+
+
+class TestSuite:
+    def test_suite_json_has_no_floats(self, capsys):
+        def no_floats(text):
+            raise AssertionError(f"float {text} in the report")
+
+        code = main(["suite", "all", "--json"])
+        report = json.loads(capsys.readouterr().out, parse_float=no_floats)
+        assert code == 0
+        assert len(report["criteria"]) == 13
+        assert all(isinstance(c["elapsed_ns"], int) for c in report["criteria"])
 
 
 class TestAlgebraCheck:

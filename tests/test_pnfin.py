@@ -1,8 +1,10 @@
+import math
 import random
 import time
 
 import pytest
 
+from bvdesk import pnfin
 from bvdesk.pnfin import (BUILTIN_CHAINS, DecreasingChain, DecreasingReport,
                           HorizonError, InfiniteSubsetStream,
                           PseudoIntersectionResult, StrictnessError,
@@ -294,6 +296,18 @@ class TestBuiltins:
     def test_nth_prime(self):
         assert [nth_prime(k) for k in range(1, 8)] == [2, 3, 5, 7, 11, 13, 17]
         assert nth_prime(100) == 541
+
+    def test_nth_prime_refuses_index_above_cap_before_sieving(self):
+        sieved = len(pnfin._PRIMES)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            nth_prime(pnfin.PRIME_INDEX_CAP + 1)
+        assert len(pnfin._PRIMES) == sieved
+
+    def test_sieve_ceiling_covers_the_cap(self):
+        # p_k < k (ln k + ln ln k) for k >= 6: at the cap the bound is below
+        # the ceiling, so the table never grows past the primes below it
+        k = pnfin.PRIME_INDEX_CAP
+        assert k * (math.log(k) + math.log(math.log(k))) < pnfin._SIEVE_CEILING
 
     def test_primes_thinned_levels_nest(self):
         assert verify_decreasing(primes_thinned_chain(), 6, 500).ok
