@@ -167,9 +167,10 @@ class BoolElem:
 
     @staticmethod
     def from_json(obj: dict, algebra: FiniteBooleanAlgebra) -> "BoolElem":
-        if not isinstance(obj, dict) or "atoms" not in obj:
+        atoms = obj.get("atoms") if isinstance(obj, dict) else None
+        if not isinstance(atoms, list) or not all(type(i) is int for i in atoms):
             raise ValueError('BoolElem JSON must be {"atoms": [int, ...]}')
-        return algebra.element(obj["atoms"])
+        return algebra.element(atoms)
 
 
 def is_partition(blocks: Sequence[BoolElem]) -> bool:

@@ -155,10 +155,12 @@ _EQ_CACHE: dict[tuple[int, int], int] = {}
 # a repeated query is a single lookup.
 _MEM_ANSWERS: dict[tuple[int, int], BoolElem] = {}
 _EQ_ANSWERS: dict[tuple[int, int], BoolElem] = {}
+# Canonical forms keyed by uid: built from the masks above, cleared with them.
+_CANON: dict[int, "BSet"] = {}
 
 
 def clear_truth_caches() -> None:
-    for table in (_MEM_CACHE, _EQ_CACHE, _MEM_ANSWERS, _EQ_ANSWERS):
+    for table in (_MEM_CACHE, _EQ_CACHE, _MEM_ANSWERS, _EQ_ANSWERS, _CANON):
         table.clear()
 
 
@@ -433,8 +435,12 @@ def canonicalize(x: BSet) -> BSet:
     (equal stalks; the first in dom order represents its class), revalued
     by their membership truth [[t in x]], and zero-valued entries are
     dropped.  Satisfies [[canonicalize(x) = x]] = 1.
+
+    Canonical forms are memoized by uid in a table that
+    :func:`clear_truth_caches` clears; a repeated call is one lookup.
     """
-    return _canonical(x, {}, {})
+    got = _CANON.get(x.uid)
+    return got if got is not None else _canonical(x, _CANON, {})
 
 
 def _canonical(x: BSet, done: dict[int, BSet], memo: dict) -> BSet:
@@ -660,6 +666,8 @@ def bset_from_json(obj: dict, algebra: FiniteBooleanAlgebra) -> BSet:
     if "hf" in obj:
         return standard_name(algebra, _hf_from_json(obj["hf"]))
     if "dom" in obj:
+        if not isinstance(obj["dom"], list):
+            raise ValueError('"dom" must be an array of [<bset>, <boolelem>] pairs')
         pairs = []
         for entry in obj["dom"]:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -671,13 +679,23 @@ def bset_from_json(obj: dict, algebra: FiniteBooleanAlgebra) -> BSet:
     raise ValueError('B-valued set JSON needs a "dom" or "hf" key')
 
 
-def _hf_from_json(obj) -> frozenset:
+def _hf_from_json(obj, depth: int = 0) -> frozenset:
+    """The literal ``obj`` found inside ``depth`` arrays.  A literal whose
+    rank would exceed RANK_CAP is refused before it is built: it is at least
+    ``depth``, and ``n + depth`` for the natural n, whose literal takes 2^n
+    steps to build."""
     if isinstance(obj, int) and not isinstance(obj, bool):
+        if obj + depth > RANK_CAP:
+            raise ResourceCapError(f"rank at least {obj + depth} exceeds cap {RANK_CAP}")
         return hf_literal(obj)
     if isinstance(obj, list):
-        return frozenset(_hf_from_json(m) for m in obj)
+        if depth > RANK_CAP:
+            raise ResourceCapError(f"rank at least {depth} exceeds cap {RANK_CAP}")
+        return frozenset(_hf_from_json(m, depth + 1) for m in obj)
     raise ValueError("hf literals are nested arrays or nonnegative integers")
 
 
 def env_from_json(obj: Mapping[str, dict], algebra: FiniteBooleanAlgebra) -> dict[str, BSet]:
+    if not isinstance(obj, dict):
+        raise ValueError("an environment is a JSON object: name -> B-valued set literal")
     return {name: bset_from_json(spec, algebra) for name, spec in obj.items()}

@@ -81,13 +81,22 @@ def _digest(obj) -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
 
+def _check_trials(args) -> None:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, not {args.trials}")
+
+
 def cmd_algebra_check(args) -> RunReport:
+    _check_trials(args)
     report = RunReport("algebra check", _digest({"atoms": args.atoms, "trials": args.trials}),
                        args.seed)
     algebra = FiniteBooleanAlgebra(args.atoms)
@@ -164,6 +173,7 @@ def cmd_bvu_transfer(args) -> RunReport:
 
 
 def cmd_lattice_gordon(args) -> RunReport:
+    _check_trials(args)
     rng = random.Random(args.seed)
     algebra = FiniteBooleanAlgebra(args.atoms)
     failures = 0
@@ -224,7 +234,9 @@ def cmd_bilinear_classify(args) -> RunReport:
 
 def cmd_refine(args) -> RunReport:
     spec = _load_json(args.covers)
-    if not isinstance(spec, dict) or "atoms" not in spec or "covers" not in spec:
+    if not (isinstance(spec, dict) and type(spec.get("atoms")) is int
+            and isinstance(spec.get("covers"), list)
+            and all(isinstance(cover, list) for cover in spec["covers"])):
         raise ValueError('covers JSON must be {"atoms": N, "covers": [[{"atoms": [...]}, ...], ...]}')
     algebra = FiniteBooleanAlgebra(spec["atoms"])
     covers = [[BoolElem.from_json(m, algebra) for m in cover]
@@ -246,7 +258,10 @@ def _parse_value(args) -> contfrac.QuadraticSurd:
             raise ValueError('--surd takes "p,q,r,d"')
         return contfrac.QuadraticSurd(*parts)
     if args.value:
-        return contfrac.QuadraticSurd.from_fraction(Fraction(args.value))
+        try:
+            return contfrac.QuadraticSurd.from_fraction(Fraction(args.value))
+        except ZeroDivisionError:
+            raise ValueError(f"--value {args.value!r} has a zero denominator") from None
     raise ValueError("provide --value P/Q or --surd p,q,r,d")
 
 

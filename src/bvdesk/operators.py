@@ -455,13 +455,39 @@ def tensor_to_json(t: Tensor) -> list:
     return [[[str(e) for e in row] for row in plane] for plane in t]
 
 
+def _scalar_from_json(e) -> Fraction:
+    """A JSON integer or 'p/q' string as a Fraction."""
+    if type(e) is int:
+        return Fraction(e)
+    if isinstance(e, str):
+        try:
+            return rat(e)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {e!r}") from None
+    raise ValueError(f"scalars are integers or 'p/q' strings, not {e!r}")
+
+
+def _entry_from_json(e) -> Fraction | list[Fraction]:
+    """A JSON matrix entry: a scalar or an [re, im] pair of scalars."""
+    if isinstance(e, list):
+        if len(e) != 2:
+            raise ValueError("complex entries are [re, im] pairs")
+        return [_scalar_from_json(e[0]), _scalar_from_json(e[1])]
+    return _scalar_from_json(e)
+
+
+def _arrays(obj, depth: int) -> bool:
+    """Whether ``obj`` is an array whose members are arrays ``depth`` deep."""
+    return isinstance(obj, list) and (depth == 1 or all(_arrays(m, depth - 1) for m in obj))
+
+
 def matrix_from_json(obj) -> Matrix:
-    if not isinstance(obj, list):
+    if not _arrays(obj, 2):
         raise ValueError("matrix JSON must be a row-major array of arrays")
-    return matrix(obj)
+    return matrix([[_entry_from_json(e) for e in row] for row in obj])
 
 
 def tensor_from_json(obj) -> Tensor:
-    if not isinstance(obj, list):
-        raise ValueError("tensor JSON must be a nested array")
-    return tensor(obj)
+    if not _arrays(obj, 3):
+        raise ValueError("tensor JSON must be an array of arrays of arrays")
+    return tensor([[[_scalar_from_json(e) for e in row] for row in plane] for plane in obj])

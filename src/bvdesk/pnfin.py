@@ -397,7 +397,11 @@ def chain_from_spec(spec: dict) -> DecreasingChain:
         raise ValueError('chain spec must be {"family": ..., "params": {...}}')
     family = spec["family"]
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError('chain spec "params" must be an object')
     if family == "dyadic":
+        if params.keys() - {"base"} or type(params.get("base", 2)) is not int:
+            raise ValueError('the dyadic family takes one integer parameter, "base"')
         return dyadic_chain(**params)
     if family == "tails":
         if params:

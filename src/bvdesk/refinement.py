@@ -31,9 +31,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .boolalg import BoolElem, Cover, FiniteBooleanAlgebra, Partition, is_refined_from
+from .bvu import ResourceCapError
 from .lattice import LatticeVector
 
-MAX_DOUBLINGS_PER_COVER = 64
+#: Most atoms :func:`build_tower` accepts; level m stores 2^m blocks.
+MAX_ATOMS = 20
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,18 @@ def build_tower(algebra: FiniteBooleanAlgebra,
     With no covers the result is the identity tower [1, 0].  Each cover's
     absorption level is recorded; a cover already absorbed when reached
     still forces one doubling so that every recorded level exists.
+
+    Algebras of more than MAX_ATOMS atoms are refused before any work,
+    which bounds the height by MAX_ATOMS.  A doubling made while absorbing
+    a cover splits some block not below any member, and so meeting some
+    member properly: it adds a nonzero block.  A level has at most ``atoms``
+    nonzero blocks, so there are at most atoms - 1 such doublings, plus the
+    one forced doubling, which happens only when no level exists yet:
+    height <= atoms.
     """
+    if algebra.atom_count > MAX_ATOMS:
+        raise ResourceCapError(
+            f"{algebra.atom_count} atoms exceed the refine cap {MAX_ATOMS}")
     cover_lists = [list(c.members if isinstance(c, Cover) else c) for c in covers]
     for members in cover_lists:
         joined = algebra.sup(members)
@@ -113,13 +126,9 @@ def build_tower(algebra: FiniteBooleanAlgebra,
     current = [algebra.top]
     cover_levels: list[int] = []
     for members in cover_lists:
-        rounds = 0
         while not all(b.is_zero or any(b.leq(c) for c in members) for b in current):
             current = _split_once(current, members)
             levels.append(current)
-            rounds += 1
-            if rounds > MAX_DOUBLINGS_PER_COVER:
-                raise AssertionError("tower construction failed to terminate")
         if not levels:
             current = _split_once(current, members)
             levels.append(current)

@@ -570,6 +570,71 @@ class TestCanonicalize:
         assert [t for t, _ in c.dom] == [canonicalize(a)]
 
 
+def subtree(x):
+    """``x`` and its hereditary members, each once, children before parents."""
+    seen, order = set(), []
+
+    def visit(y):
+        if y.uid not in seen:
+            seen.add(y.uid)
+            for t, _ in y.dom:
+                visit(t)
+            order.append(y)
+
+    visit(x)
+    return order
+
+
+class TestCanonicalMemo:
+    """canonicalize's table of canonical forms against reference_canonicalize."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.sampled_from(["up", "down", "mixed"]))
+    def test_any_call_order_gives_the_reference_objects(self, seed, atoms, order):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        bvu.clear_truth_caches()
+        family = random_family(rng, algebra, 3)
+        sets = [y for x in family for y in subtree(x)]
+        if order == "down":  # each parent before its subtree
+            sets.reverse()
+        elif order == "mixed":
+            sets = [rng.choice(sets) for _ in range(2 * len(sets))]
+        for y in sets + sets[::-1]:  # every set asked at least twice
+            assert canonicalize(y) is reference_canonicalize(y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_clear_empties_the_table_and_keeps_the_objects(self, seed, atoms):
+        rng = random.Random(seed)
+        family = random_family(rng, FiniteBooleanAlgebra(atoms), 3)
+        before = [canonicalize(x) for x in family]
+        assert bvu._CANON
+        bvu.clear_truth_caches()
+        assert bvu._CANON == {}
+        after = [canonicalize(x) for x in family]
+        assert all(a is b is reference_canonicalize(x)
+                   for a, b, x in zip(after, before, family))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_warm_calls_do_not_recurse(self, seed, atoms):
+        rng = random.Random(seed)
+        family = random_family(rng, FiniteBooleanAlgebra(atoms), 3)
+        bvu.clear_truth_caches()
+        first = [canonicalize(x) for x in family]
+        real = bvu._canonical
+        try:
+            bvu._canonical = lambda *args: pytest.fail("warm canonicalize recursed")
+            # the roots' subtrees were canonicalized on the way, so they are warm too
+            assert [canonicalize(x) for x in family] == first
+            for x in family:
+                for y in subtree(x):
+                    assert canonicalize(y) is reference_canonicalize(y)
+        finally:
+            bvu._canonical = real
+
+
 class TestEval:
     ENV = {"empty": name(0), "one": name(1), "two": name(2), "three": name(3)}
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bvdesk
 from bvdesk.battery import BASE_ENV, BATTERY
@@ -288,3 +293,134 @@ class TestDeterminism:
         _, second = run_json(capsys, ["lattice", "gordon", "--atoms", "6",
                                       "--trials", "50", "--seed", "99"])
         assert first == second
+
+
+class TestTrials:
+    @pytest.mark.parametrize("group", ["lattice gordon", "algebra check"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exit_2(self, capsys, group, trials):
+        assert main([*group.split(), "--atoms", "5", "--trials", trials]) == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+# -- the input boundary -------------------------------------------------------------
+
+#: Malformed inputs that once ended in a traceback or were silently accepted:
+#: (argv with FILE standing for the JSON file, the JSON written there).
+MALFORMED = [
+    (["refine", "--covers", "FILE"], {"atoms": "3", "covers": []}),
+    (["refine", "--covers", "FILE"], {"atoms": 2.5, "covers": []}),
+    (["refine", "--covers", "FILE"], {"atoms": 3, "covers": 5}),
+    (["refine", "--covers", "FILE"], {"atoms": 3, "covers": [[{"atoms": ["0"]}]]}),
+    (["refine", "--covers", "FILE"], {"atoms": True, "covers": [[{"atoms": [0]}]]}),
+    (["refine", "--covers", "FILE"], {"atoms": 10 ** 6, "covers": [[{"atoms": [0]}]]}),
+    (["refine", "--covers", "FILE"],  # 2^23 blocks at the top level without the cap
+     {"atoms": 24, "covers": [[{"atoms": [q]}, {"atoms": [a for a in range(24) if a != q]}]
+                              for q in range(23)]}),
+    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], [1]),
+    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], {"x": {"dom": 5}}),
+    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"],
+     {"x": {"dom": [[{"hf": 0}, {"atoms": ["a"]}]]}}),
+    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], {"x": {"hf": 40}}),
+    (["ops", "classify", "--matrix", "FILE"], [[None]]),
+    (["ops", "classify", "--matrix", "FILE"], [["1/0"]]),
+    (["bilinear", "classify", "--tensor", "FILE"], [[[True]]]),
+    (["pnfin", "pi", "--count", "3", "--horizon", "50", "--spec", "FILE"],
+     {"family": "dyadic", "params": {"base": "x"}}),
+    (["pnfin", "pi", "--count", "3", "--horizon", "50", "--spec", "FILE"],
+     {"family": "dyadic", "params": {"step": 2}}),
+    (["cf", "expand", "--value", "1/0"], None),
+]
+
+
+def run_in_process(argv, payload=None):
+    """(exit code, stdout, stderr) of ``main(argv)``, with FILE in ``argv``
+    replaced by a file holding ``payload`` as JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if a == "FILE" else a for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, payload", MALFORMED)
+def test_malformed_input_exits_2(argv, payload):
+    start = time.perf_counter()
+    code, out, err = run_in_process(argv + ["--json"], payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+    assert time.perf_counter() - start < 1
+
+
+def assert_boundary_holds(argv, payload=None):
+    """No exception escapes, the exit code is 0, 1 or 2, and the --json
+    report is the same on a rerun."""
+    first = run_in_process(argv + ["--json"], payload)
+    assert first[0] in (0, 1, 2)
+    assert run_in_process(argv + ["--json"], payload)[:2] == first[:2]
+
+
+KEYS = ["atoms", "covers", "dom", "hf", "family", "params", "base", "x"]
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 6)
+           | st.floats(allow_nan=False, allow_infinity=False, width=16)
+           | st.text("0123456789/-.ea", max_size=5))
+JSON = st.recursive(SCALARS, lambda kids: st.lists(kids, max_size=3)
+                    | st.dictionaries(st.sampled_from(KEYS), kids, max_size=3),
+                    max_leaves=10)
+SMALL_INTS = st.integers(-1, 6)
+ELEM = st.fixed_dictionaries({"atoms": st.lists(SMALL_INTS | JSON, max_size=4)}) | JSON
+RATIONAL = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "0", "1/0", "x", " 5 "]) | JSON
+BSET = st.recursive(
+    st.fixed_dictionaries({"hf": SMALL_INTS | st.lists(SMALL_INTS, max_size=3)}) | JSON,
+    lambda kids: st.fixed_dictionaries({"dom": st.lists(st.tuples(kids, ELEM).map(list)
+                                                        | JSON, max_size=3)}),
+    max_leaves=6)
+BOUNDARY = {
+    "refine": (["refine", "--covers", "FILE"],
+               st.fixed_dictionaries({"atoms": st.integers(1, 6) | JSON,
+                                      "covers": st.lists(st.lists(ELEM, max_size=3),
+                                                         max_size=3) | JSON}) | JSON),
+    "bvu eval": (["bvu", "eval", "--atoms", "2", "--env", "FILE",
+                  "--formula", "exists t in x : t in x | t = x"],
+                 st.fixed_dictionaries({"x": BSET}) | JSON),
+    "ops classify": (["ops", "classify", "--matrix", "FILE"],
+                     st.lists(st.lists(RATIONAL | st.lists(RATIONAL, max_size=3),
+                                       max_size=3), max_size=3) | JSON),
+    "bilinear classify": (["bilinear", "classify", "--tensor", "FILE"],
+                          st.lists(st.lists(st.lists(RATIONAL, max_size=2), max_size=2),
+                                   max_size=2) | JSON),
+    "pnfin pi": (["pnfin", "pi", "--count", "3", "--horizon", "50", "--spec", "FILE"],
+                 st.fixed_dictionaries({
+                     "family": st.sampled_from(["dyadic", "tails", "primes-thinned"]) | JSON,
+                     "params": st.dictionaries(st.sampled_from(["base", "x"]),
+                                               SMALL_INTS | JSON, max_size=2) | JSON}) | JSON),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BOUNDARY))
+def test_boundary_fuzz_json_inputs(command):
+    argv, strategy = BOUNDARY[command]
+    examples = [payload for bad_argv, payload in MALFORMED if bad_argv == argv]
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(strategy)
+    def check(payload):
+        assert_boundary_holds(argv, payload)
+
+    for payload in examples:
+        check = example(payload)(check)
+    check()
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(["--value", "--surd"]),
+       st.text("0123456789/-,.e ", max_size=10)
+       | st.lists(st.integers(-9, 9), min_size=3, max_size=5).map(
+           lambda xs: ",".join(map(str, xs))))
+@example("--value", "1/0")
+@example("--surd", "1,1,0,2")
+def test_boundary_fuzz_value_strings(flag, text):
+    assert_boundary_holds(["cf", "expand", f"{flag}={text}"])

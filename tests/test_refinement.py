@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvdesk.boolalg import FiniteBooleanAlgebra, is_refined_from
+from bvdesk.bvu import ResourceCapError
 from bvdesk.lattice import AtomicLattice
-from bvdesk.refinement import (build_tower, constancy_partition,
+from bvdesk.refinement import (MAX_ATOMS, build_tower, constancy_partition,
                                constancy_refinement_check,
                                is_function_refined_from, level_partitions,
                                refine_report, refined_function)
@@ -66,6 +68,34 @@ class TestTower:
     def test_non_cover_rejected(self):
         with pytest.raises(ValueError):
             build_tower(A4, [[A4.element([0, 1])]])
+
+    def test_atom_cap_refuses_before_any_work(self):
+        algebra = FiniteBooleanAlgebra(10 ** 6)
+        half = algebra.element(range(10))
+        start = time.perf_counter()
+        for covers in ([], [[half, half.complement()]], [[algebra.top]] * 100):
+            with pytest.raises(ResourceCapError):
+                build_tower(algebra, covers)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ResourceCapError):
+            refine_report(FiniteBooleanAlgebra(MAX_ATOMS + 1), [])
+
+    def test_cap_still_builds(self):
+        algebra = FiniteBooleanAlgebra(MAX_ATOMS)
+        half = algebra.element(range(MAX_ATOMS // 2))
+        assert build_tower(algebra, [[half, half.complement()]]).height == 1
+        assert refine_report(algebra, []).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 10_000), st.integers(0, 5))
+    def test_height_at_most_atoms(self, atoms, seed, n_covers):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        covers = [_random_cover(rng, algebra) for _ in range(n_covers)]
+        assert build_tower(algebra, covers).height <= atoms
+        # the bound is reached: a forced doubling, then one atom split off per cover
+        splits = [[algebra.atom(q), algebra.atom(q).complement()] for q in range(atoms - 1)]
+        assert build_tower(algebra, [[algebra.top], *splits]).height == atoms
 
 
 def _random_cover(rng, algebra):
