@@ -17,7 +17,6 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from . import acceptance, bvu, contfrac, operators as ops, pnfin, refinement
@@ -26,7 +25,7 @@ from .battery import run_battery
 from .boolalg import (BoolElem, FiniteBooleanAlgebra, axioms_hold_on_triple,
                       sigma_criteria_check)
 from .formula import Exists, Formula, ParseError, parse, quantifier_depth
-from .lattice import gordon_check
+from .lattice import gordon_check, rat
 from .pnfin import BUILTIN_CHAINS, chain_from_spec
 
 
@@ -72,6 +71,14 @@ EVAL_CAP = 10 ** 5
 #: Largest ``count * horizon`` that ``pnfin pi`` may ask for: the chain check
 #: enumerates up to ``horizon`` elements of each of ``count`` levels.
 PI_CAP = 10 ** 6
+#: Largest work estimate ``pnfin pi`` may start on a dyadic chain of base b.
+#: The inclusion check enumerates about ``horizon * b`` elements of each of
+#: ``count`` levels, and the tail-membership check makes about ``count^2 / 2``
+#: searches of up to ``2 * count * log2(b)`` steps each; ``count * horizon``
+#: alone misses both the base and the cubic term.
+DYADIC_CAP = 5 * 10 ** 6
+#: Most ``--trials`` that ``lattice gordon`` and ``algebra check`` may run.
+MAX_TRIALS = 10 ** 4
 
 
 def _digest(obj) -> str:
@@ -93,6 +100,8 @@ def _load_json(path: str):
 def _check_trials(args) -> None:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, not {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise bvu.ResourceCapError(f"--trials {args.trials} exceeds the cap {MAX_TRIALS}")
 
 
 def cmd_algebra_check(args) -> RunReport:
@@ -259,7 +268,7 @@ def _parse_value(args) -> contfrac.QuadraticSurd:
         return contfrac.QuadraticSurd(*parts)
     if args.value:
         try:
-            return contfrac.QuadraticSurd.from_fraction(Fraction(args.value))
+            return contfrac.QuadraticSurd.from_fraction(rat(args.value))
         except ZeroDivisionError:
             raise ValueError(f"--value {args.value!r} has a zero denominator") from None
     raise ValueError("provide --value P/Q or --surd p,q,r,d")
@@ -286,18 +295,28 @@ def cmd_cf_convergent(args) -> RunReport:
 
 
 def cmd_pnfin_pi(args) -> RunReport:
+    if args.horizon < 1:  # else count * horizon <= 0 would let any count through
+        raise ValueError(f"--horizon must be at least 1, not {args.horizon}")
     if args.count * args.horizon > PI_CAP:
         raise bvu.ResourceCapError(
             f"count {args.count} times horizon {args.horizon} exceeds the cap {PI_CAP}")
     if args.spec:
-        chain = chain_from_spec(_load_json(args.spec))
-        digest = _digest(_load_json(args.spec))
+        spec = _load_json(args.spec)
+        chain = chain_from_spec(spec)
     else:
         if args.family not in BUILTIN_CHAINS:
             raise ValueError(f"unknown family {args.family!r}; "
                              f"choose from {sorted(BUILTIN_CHAINS)}")
+        spec = {"family": args.family}
         chain = BUILTIN_CHAINS[args.family]()
-        digest = _digest({"family": args.family})
+    if spec["family"] == "dyadic":
+        base = spec.get("params", {}).get("base", 2)
+        work = args.count * (args.horizon * base + args.count ** 2 * base.bit_length())
+        if work > DYADIC_CAP:
+            raise bvu.ResourceCapError(
+                f"a dyadic chain of base {base} at count {args.count} and horizon "
+                f"{args.horizon} needs about {work} steps, above the cap {DYADIC_CAP}")
+    digest = _digest(spec)
     result = pnfin.pseudo_intersection(chain, count=args.count, horizon=args.horizon)
     report = RunReport("pnfin pi", digest, args.seed)
     increasing = all(a < b for a, b in zip(result.elements, result.elements[1:]))

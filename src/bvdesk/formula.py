@@ -19,10 +19,15 @@ Input nested deeper than :data:`MAX_DEPTH` levels (parentheses, quantifiers,
 negations, implications, or a syntax tree of that height) is refused with a
 :class:`ParseError`, so neither the parser nor the recursive evaluators can
 exhaust the interpreter stack.
+
+:func:`parse` remembers the syntax trees of the last :data:`PARSE_MEMO_SIZE`
+distinct texts for the life of the process, so a repeated text is parsed
+once; the trees are frozen, so one object per text can be shared.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -102,6 +107,9 @@ Formula = Union[Eq, Mem, Not, And, Or, Implies, Iff, Forall, Exists]
 
 #: Deepest nesting, and tallest syntax tree, that :func:`parse` accepts.
 MAX_DEPTH = 100
+#: Most distinct texts whose syntax trees :func:`parse` keeps; the least
+#: recently used is dropped first.
+PARSE_MEMO_SIZE = 1024
 
 _KEYWORDS = {"forall", "exists", "in"}
 
@@ -247,7 +255,16 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula; raises :class:`ParseError` with position on failure."""
+    """Parse a formula; raises :class:`ParseError` with position on failure.
+
+    Results are memoized by text (``_parse.cache_info()`` counts hits and
+    misses); errors are not, so a bad text raises afresh on every call.
+    """
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 

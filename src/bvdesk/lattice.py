@@ -19,6 +19,7 @@ identity exercised here is field-independent and needs decidable equality.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,13 +29,31 @@ from .boolalg import BoolElem, FiniteBooleanAlgebra
 from .ratlinalg import rank
 
 
+#: Largest decimal exponent a rational string may carry, as in '1e-4300'.
+#: Past it the power of ten alone has more digits than Python's default
+#: int-to-str limit, and ``Fraction`` would spend time building it first.
+MAX_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)")
+
+
 def rat(value: int | str | Fraction) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a 'p/q' string."""
+    """Parse a rational from an int, a Fraction, or a 'p/q' string.
+
+    A string in exponent notation whose exponent exceeds
+    :data:`MAX_EXPONENT` in magnitude is refused before it is expanded.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(value.strip())
+    text = value.strip()
+    exponent = _EXPONENT_RE.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"a rational's exponent may be at most {MAX_EXPONENT} "
+                             f"in magnitude")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import bvdesk
 from bvdesk.battery import BASE_ENV, BATTERY
 from bvdesk import cli
-from bvdesk.cli import EVAL_CAP, PI_CAP, main
+from bvdesk.cli import EVAL_CAP, MAX_TRIALS, PI_CAP, main
 
 
 @pytest.fixture
@@ -40,6 +40,14 @@ def covers_file(tmp_path):
         ],
     }))
     return str(path)
+
+
+class Started(Exception):
+    """Raised by a stand-in for the work a command starts once its checks pass."""
+
+
+def started(*args, **kwargs):
+    raise Started
 
 
 def run_json(capsys, argv):
@@ -169,6 +177,14 @@ class TestBilinear:
         assert data["report"]["separately_band_preserving"] is True
         assert data["report"]["multiplier"] == {"coords": ["2", "3"]}
 
+    def test_decimal_entries_read_as_rationals(self, capsys, tmp_path):
+        reports = []
+        for entries in (["1e3", "0.5"], ["1000", "1/2"]):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps([[entries[0], "0"], ["0", entries[1]]]))
+            reports.append(run_json(capsys, ["ops", "classify", "--matrix", str(path)]))
+        assert reports[0] == reports[1]
+
     def test_digest_covers_entries(self, capsys, tmp_path):
         digests = []
         for entry in ("1", "2"):
@@ -212,6 +228,12 @@ class TestContfrac:
 
     def test_out_of_range_exits_2(self, capsys):
         assert main(["cf", "expand", "--value", "3/2"]) == 2
+        assert main(["cf", "expand", "--value", "1e3"]) == 2
+        assert "requires 0 < t < 1" in capsys.readouterr().err
+
+    def test_decimal_value(self, capsys):
+        code, data = run_json(capsys, ["cf", "expand", "--value", "0.5"])
+        assert (code, data["preperiod"], data["period"]) == (0, [2], [])
 
     def test_missing_value_exits_2(self, capsys):
         assert main(["cf", "expand"]) == 2
@@ -261,6 +283,19 @@ class TestPnfin:
         assert main(["pnfin", "pi", "--family", "tails", "--count", "50",
                      "--horizon", str(10 ** 12)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "dyadic", "--count", "50", "--horizon", "10000"],  # README, criterion 12
+        ["--family", "dyadic", "--count", "50", "--horizon", "9000"],
+        ["--spec", "FILE", "--count", "25", "--horizon", "1200"],  # base 5
+        ["--spec", "FILE", "--count", "10", "--horizon", "1000"],  # base 5
+    ])
+    def test_dyadic_work_under_cap_accepted(self, monkeypatch, tmp_path, argv):
+        monkeypatch.setattr(cli.pnfin, "pseudo_intersection", started)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"family": "dyadic", "params": {"base": 5}}))
+        with pytest.raises(Started):
+            main(["pnfin", "pi", *[str(path) if a == "FILE" else a for a in argv]])
+
 
 class TestSuite:
     def test_suite_json_has_no_floats(self, capsys):
@@ -302,6 +337,12 @@ class TestTrials:
         assert main([*group.split(), "--atoms", "5", "--trials", trials]) == 2
         assert "--trials must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group", ["lattice gordon", "algebra check"])
+    def test_trials_at_cap_accepted(self, monkeypatch, group):
+        monkeypatch.setattr(cli, "random_boolelem", started)
+        with pytest.raises(Started):
+            main([*group.split(), "--atoms", "16", "--trials", str(MAX_TRIALS)])
+
 
 # -- the input boundary -------------------------------------------------------------
 
@@ -330,6 +371,20 @@ MALFORMED = [
     (["pnfin", "pi", "--count", "3", "--horizon", "50", "--spec", "FILE"],
      {"family": "dyadic", "params": {"step": 2}}),
     (["cf", "expand", "--value", "1/0"], None),
+    # accepted, then ran for tens of seconds or longer before being refused or done
+    (["pnfin", "pi", "--family", "dyadic", "--count", "400", "--horizon", "2500"], None),
+    (["pnfin", "pi", "--family", "dyadic", "--count", "2000", "--horizon", "500"], None),
+    (["pnfin", "pi", "--count", "2000", "--horizon", "500", "--spec", "FILE"],
+     {"family": "dyadic", "params": {"base": 1_000_000}}),
+    (["pnfin", "pi", "--count", "1000", "--horizon", "1000", "--spec", "FILE"],
+     {"family": "dyadic", "params": {"base": 10 ** 29}}),
+    (["pnfin", "pi", "--family", "tails", "--count", "100000000", "--horizon", "0"], None),
+    (["pnfin", "pi", "--family", "primes-thinned", "--count", "100000000", "--horizon", "-1"],
+     None),
+    (["cf", "expand", "--value=1e-9999999"], None),
+    (["ops", "classify", "--matrix", "FILE"], [["1e999999"]]),
+    (["lattice", "gordon", "--atoms", "16", "--trials", "100000000"], None),
+    (["algebra", "check", "--atoms", "16", "--trials", str(MAX_TRIALS + 1)], None),
 ]
 
 

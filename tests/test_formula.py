@@ -1,10 +1,13 @@
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdesk.formula import (MAX_DEPTH, And, Eq, Exists, Forall, Iff, Implies,
-                            Mem, Not, Or, ParseError, Var, free_names, parse,
-                            quantifier_depth, unparse)
+from bvdesk import formula
+from bvdesk.formula import (MAX_DEPTH, PARSE_MEMO_SIZE, And, Eq, Exists, Forall,
+                            Iff, Implies, Mem, Not, Or, ParseError, Var, _parse,
+                            _Parser, free_names, parse, quantifier_depth, unparse)
 
 
 class TestParsing:
@@ -67,14 +70,17 @@ class TestParsing:
                                       "(forall a in x : (a = a | (exists b in a : b = b)))")) == 2
 
 
-@pytest.mark.parametrize("nest", [
+NESTINGS = [
     lambda n: "(" * n + "a = a" + ")" * n,
     lambda n: "!" * n + "a = a",
     lambda n: "forall t in a : " * n + "a = a",
     lambda n: " -> ".join(["a = a"] * n),
     lambda n: " | ".join(["a = a"] * n),
     lambda n: " & ".join(["a in a"] * n),
-])
+]
+
+
+@pytest.mark.parametrize("nest", NESTINGS)
 def test_nesting_depth_is_capped(nest):
     parse(nest(MAX_DEPTH - 1))
     for n in (MAX_DEPTH + 1, 2000):
@@ -135,3 +141,70 @@ def test_iff_unparses_via_definition():
     f = Iff(Eq(Var("a"), Var("b")), Mem(Var("a"), Var("c")))
     g = parse(unparse(f))
     assert g == And(Implies(f.left, f.right), Implies(f.right, f.left))
+
+
+# -- the parse memo -----------------------------------------------------------------
+
+
+def _outcome(thunk):
+    """The formula ``thunk()`` returns, or the message and position it raises."""
+    try:
+        return thunk()
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _wrapped(text, depth, shape):
+    """``text`` nested ``depth`` times in the given shape."""
+    if shape == "parens":
+        return "(" * depth + text + ")" * depth
+    if shape == "not":
+        return "!(" * depth + text + ")" * depth
+    return "forall t in a : " * depth + text  # rebinds t over and over
+
+
+_texts = st.one_of(
+    _formulas(3).map(unparse),
+    st.tuples(_formulas(2).map(unparse), st.integers(0, 2 * MAX_DEPTH),
+              st.sampled_from(["parens", "not", "forall"])).map(lambda p: _wrapped(*p)),
+    st.text("abtx=in!&|->():forallexists ", max_size=30),
+)
+
+
+@settings(max_examples=300)
+@given(_texts, st.sampled_from(["", " ", "\t\n"]))
+def test_memo_agrees_with_the_parser(text, pad):
+    text = pad + text + pad
+    first, second = _outcome(lambda: parse(text)), _outcome(lambda: parse(text))
+    assert first == second == _outcome(lambda: _Parser(text).parse())
+    if not isinstance(first, tuple):  # a formula, not an error's message and position
+        assert first is second
+
+
+def test_errors_are_not_remembered():
+    _parse.cache_clear()
+    for text in ["a == b", "(a = b", " a @ b", *(nest(MAX_DEPTH + 1) for nest in NESTINGS)]:
+        positions = set()
+        for _ in range(3):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            positions.add(exc.value.position)
+        assert len(positions) == 1
+    assert _parse.cache_info().currsize == 0
+
+
+def test_memo_is_bounded():
+    _parse.cache_clear()
+    for i in range(PARSE_MEMO_SIZE + 50):
+        parse(f"x{i} = y")
+    info = _parse.cache_info()
+    assert info.maxsize == PARSE_MEMO_SIZE
+    assert info.currsize == PARSE_MEMO_SIZE
+    assert (info.hits, info.misses) == (0, PARSE_MEMO_SIZE + 50)
+    parse(f"x{PARSE_MEMO_SIZE + 49} = y")
+    assert _parse.cache_info().hits == 1
+
+
+def test_parse_is_a_plain_function():
+    # the benchmark's tracer wraps plain functions only; the memo stays behind it
+    assert isinstance(formula.parse, types.FunctionType)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from bvdesk.lattice import (AtomicLattice, ComplexVector, LatticeVector,
                             encode_as_bset, gordon_check,
                             is_local_hamel_basis, is_locally_constant,
                             is_locally_linearly_independent,
-                            local_hamel_expand, rat, truth_vec)
+                            local_hamel_expand, MAX_EXPONENT, rat, truth_vec)
 
 L2 = AtomicLattice(2)
 L3 = AtomicLattice(3)
@@ -55,6 +56,22 @@ class TestVectorOps:
         x = L3.vector(["1/2", "-3", "0"])
         assert LatticeVector.from_json(x.to_json()) == x
         assert x.to_json() == {"coords": ["1/2", "-3", "0"]}
+
+
+class TestRationalStrings:
+    def test_plain_and_small_exponents_parse_as_before(self):
+        for text in ("16/45", "0.5", "1e3", " -2/3 ", "1.5E-2", "1e+0_3",
+                     f"1e-{MAX_EXPONENT}", f"1e{MAX_EXPONENT}", f"1e0000{MAX_EXPONENT}"):
+            assert rat(text) == Fraction(text.strip())
+
+    @pytest.mark.parametrize("text", [f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}",
+                                      "1e-9999999", "1e999999",
+                                      "1e" + "9" * 100_000, "1E-1_000_000"])
+    def test_large_exponents_refused_before_expansion(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestTruthAndProjectionIdentities:
