@@ -79,6 +79,13 @@ PI_CAP = 10 ** 6
 DYADIC_CAP = 5 * 10 ** 6
 #: Most ``--trials`` that ``lattice gordon`` and ``algebra check`` may run.
 MAX_TRIALS = 10 ** 4
+#: Largest matrix order ``ops classify`` accepts: recovering the multiplier of
+#: a diagonal matrix makes n + 1 dense applies, n^3 ``Fraction`` products.
+MAX_MATRIX_ORDER = 64
+#: Largest ``--k`` of ``cf convergent`` that can succeed: the k-th denominator
+#: is at least the Fibonacci number F_(k+1), and F_20578 has more digits than
+#: Python's default int-to-str limit of 4300 lets the report print.
+MAX_CONVERGENT_INDEX = 20_576
 
 
 def _digest(obj) -> str:
@@ -202,6 +209,9 @@ def cmd_lattice_gordon(args) -> RunReport:
 
 def cmd_ops_classify(args) -> RunReport:
     m = ops.matrix_from_json(_load_json(args.matrix))
+    if len(m) > MAX_MATRIX_ORDER:
+        raise bvu.ResourceCapError(
+            f"a {len(m)}x{len(m)} matrix exceeds the order cap {MAX_MATRIX_ORDER}")
     report = RunReport("ops classify", _digest(ops.matrix_to_json(m)), args.seed)
     preserving = ops.is_band_preserving(m)
     report.add("band-preserving", True, str(preserving))
@@ -284,6 +294,8 @@ def cmd_cf_expand(args) -> RunReport:
 
 
 def cmd_cf_convergent(args) -> RunReport:
+    if args.k > MAX_CONVERGENT_INDEX:
+        raise bvu.ResourceCapError(f"--k {args.k} exceeds the cap {MAX_CONVERGENT_INDEX}")
     t = _parse_value(args)
     pq = contfrac.expand(t)
     value = contfrac.convergent(pq, args.k)

@@ -2,9 +2,11 @@
 
 Given finitely many covers of a finite powerset algebra, a tower of
 partitions P_1, P_2, ... is built so that every level has 2^m blocks (zero
-blocks permitted as internal padding), consecutive levels satisfy the
-sibling rule U_j^m = U_{2j-1}^{m+1} v U_{2j}^{m+1}, and each input cover is
-refined from some recorded level.
+blocks permitted as padding), consecutive levels satisfy the sibling rule
+U_j^m = U_{2j-1}^{m+1} v U_{2j}^{m+1}, and each input cover is refined from
+some recorded level.  The tower is one h-bit address per atom: atom q lies
+in block ``address >> (h - m)`` of level m, and only the JSON report pads
+level m out to 2^m blocks.
 
 Each doubling splits every block U into the chained pair (U ^ c, U \\ c)
 for the first cover member c meeting U properly; blocks already dominated
@@ -12,10 +14,11 @@ by a member split as (U, 0).  Iterating absorbs one cover at a time and
 terminates because nonzero proper splits strictly shrink blocks.
 
 The refined function is the exact finite sum g = sum_m 3^(-m) chi_m with
-chi_m the indicator of the union of even-indexed level-m blocks.  Two atoms
-first separated at level m (same parent block at m-1, different blocks at
-m) land in sibling blocks, so their chi_m values differ while chi_i agree
-for i < m, giving the separation estimate
+chi_m the indicator of the union of even-indexed level-m blocks: bit m of
+the address, so g(q) is the address read in base 3, over 3^h.  Two atoms
+first separated at level m (their first differing address bit) land in
+sibling blocks, so their chi_m values differ while chi_i agree for i < m,
+giving the separation estimate
 
     |g(q') - g(q'')| >= 1/3^m - sum_{i>m} 1/3^i = 1/(2 * 3^m) > 0.
 
@@ -34,68 +37,42 @@ from .boolalg import BoolElem, Cover, FiniteBooleanAlgebra, Partition, is_refine
 from .bvu import ResourceCapError
 from .lattice import LatticeVector
 
-#: Most atoms :func:`build_tower` accepts; level m stores 2^m blocks.
+#: Most atoms :func:`build_tower` accepts.  The tower holds one address per
+#: atom, but the ``to_json`` report pads level m to 2^m blocks.
 MAX_ATOMS = 20
 
 
 @dataclass(frozen=True)
 class PartitionTower:
-    """Levels of 2^m blocks each (with zero padding) plus absorption data."""
+    """One ``height``-bit block address per atom plus absorption data."""
 
     algebra: FiniteBooleanAlgebra
-    levels: tuple[tuple[BoolElem, ...], ...]
+    height: int
+    addresses: tuple[int, ...]
     cover_levels: tuple[int, ...]  # per input cover, the level refined from it
 
-    @property
-    def height(self) -> int:
-        return len(self.levels)
+    def _blocks(self, m: int) -> dict[int, list[int]]:
+        """The atoms of each nonzero level-m (1-based) block, by block index."""
+        blocks: dict[int, list[int]] = {}
+        for q, address in enumerate(self.addresses):
+            blocks.setdefault(address >> (self.height - m), []).append(q)
+        return blocks
 
     def level_partition(self, m: int) -> Partition:
         """Level m (1-based) with padding dropped, as a public partition."""
-        return Partition(tuple(b for b in self.levels[m - 1] if not b.is_zero))
-
-    def sibling_rule_holds(self) -> bool:
-        levels = self.levels
-        for m in range(len(levels) - 1):
-            for j, parent in enumerate(levels[m]):
-                if levels[m + 1][2 * j].join(levels[m + 1][2 * j + 1]) != parent:
-                    return False
-        return True
-
-    def block_index(self, m: int, atom: int) -> int:
-        """Index of the level-m (1-based) block containing the atom."""
-        for j, b in enumerate(self.levels[m - 1]):
-            if b.mask >> atom & 1:
-                return j
-        raise ValueError(f"atom {atom} not covered at level {m}")
-
-    def chi(self, m: int) -> LatticeVector:
-        """Indicator of the union of even-indexed blocks at level m (1-based)."""
-        union = 0
-        for j, b in enumerate(self.levels[m - 1]):
-            if j % 2 == 1:  # 1-based even positions
-                union |= b.mask
-        return LatticeVector(tuple(Fraction(1 if union >> q & 1 else 0)
-                                   for q in range(self.algebra.atom_count)))
+        blocks = self._blocks(m)
+        return Partition(tuple(self.algebra.element(blocks[j]) for j in sorted(blocks)))
 
     def to_json(self) -> dict:
-        return {
-            "levels": [[b.to_json() for b in level] for level in self.levels],
-            "cover_levels": list(self.cover_levels),
-        }
+        levels = []
+        for m in range(1, self.height + 1):
+            blocks = self._blocks(m)
+            levels.append([{"atoms": blocks.get(j, [])} for j in range(2 ** m)])
+        return {"levels": levels, "cover_levels": list(self.cover_levels)}
 
 
-def _split_once(blocks: list[BoolElem], cover: Sequence[BoolElem]) -> list[BoolElem]:
-    """One doubling: each block becomes a sibling pair."""
-    out: list[BoolElem] = []
-    for u in blocks:
-        if u.is_zero or any(u.leq(c) for c in cover):
-            out.extend((u, u.algebra.bottom))
-            continue
-        piece = next(u.meet(c) for c in cover
-                     if not u.meet(c).is_zero and u.meet(c) != u)
-        out.extend((piece, u.minus(piece)))
-    return out
+def _settled(u: int, cover: Sequence[int]) -> bool:
+    return any(u & ~c == 0 for c in cover)
 
 
 def build_tower(algebra: FiniteBooleanAlgebra,
@@ -105,6 +82,8 @@ def build_tower(algebra: FiniteBooleanAlgebra,
     With no covers the result is the identity tower [1, 0].  Each cover's
     absorption level is recorded; a cover already absorbed when reached
     still forces one doubling so that every recorded level exists.
+
+    Only the nonzero blocks of the current level are kept, by block index.
 
     Algebras of more than MAX_ATOMS atoms are refused before any work,
     which bounds the height by MAX_ATOMS.  A doubling made while absorbing
@@ -122,22 +101,31 @@ def build_tower(algebra: FiniteBooleanAlgebra,
         joined = algebra.sup(members)
         if not joined.is_one:
             raise ValueError("each input must be a cover (join = 1)")
-    levels: list[list[BoolElem]] = []
-    current = [algebra.top]
+    level = {0: algebra.full_mask}
+    height = 0
     cover_levels: list[int] = []
     for members in cover_lists:
-        while not all(b.is_zero or any(b.leq(c) for c in members) for b in current):
-            current = _split_once(current, members)
-            levels.append(current)
-        if not levels:
-            current = _split_once(current, members)
-            levels.append(current)
-        cover_levels.append(len(levels))
-    if not levels:
-        levels.append([algebra.top, algebra.bottom])
+        cover = [c.mask for c in members]
+        while height == 0 or not all(_settled(u, cover) for u in level.values()):
+            split: dict[int, int] = {}
+            for j, u in level.items():
+                if _settled(u, cover):
+                    split[2 * j] = u
+                else:
+                    piece = next(u & c for c in cover if u & c and u & c != u)
+                    split[2 * j], split[2 * j + 1] = piece, u & ~piece
+            level = split
+            height += 1
+        cover_levels.append(height)
+    addresses = [0] * algebra.atom_count
+    for j, u in level.items():
+        for q in range(algebra.atom_count):
+            if u >> q & 1:
+                addresses[q] = j
     return PartitionTower(
         algebra=algebra,
-        levels=tuple(tuple(level) for level in levels),
+        height=max(height, 1),
+        addresses=tuple(addresses),
         cover_levels=tuple(cover_levels),
     )
 
@@ -263,19 +251,15 @@ def refine_report(algebra: FiniteBooleanAlgebra,
                   covers: Sequence[Cover | Sequence[BoolElem]]) -> RefinementResult:
     """Build the tower, compute g, and verify the construction's contract."""
     tower = build_tower(algebra, covers)
-    n = algebra.atom_count
-    g = LatticeVector(tuple(Fraction(0) for _ in range(n)))
-    for m in range(1, tower.height + 1):
-        g = g.add(tower.chi(m).scale(Fraction(1, 3 ** m)))
+    n, h = algebra.atom_count, tower.height
+    g = LatticeVector(tuple(Fraction(int(f"{a:b}", 3), 3 ** h) for a in tower.addresses))
     certificates = tuple(bool(is_function_refined_from(g, c)) for c in covers)
     separations = []
     for q1 in range(n):
         for q2 in range(q1 + 1, n):
-            level = next((m for m in range(1, tower.height + 1)
-                          if tower.block_index(m, q1) != tower.block_index(m, q2)),
-                         None)
-            if level is None:
+            if tower.addresses[q1] == tower.addresses[q2]:
                 continue
+            level = h - (tower.addresses[q1] ^ tower.addresses[q2]).bit_length() + 1
             gap = abs(g.coords[q1] - g.coords[q2])
             separations.append(SeparationRecord(
                 atom_pair=(q1, q2),

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import bvdesk
 from bvdesk.battery import BASE_ENV, BATTERY
 from bvdesk import cli
-from bvdesk.cli import EVAL_CAP, MAX_TRIALS, PI_CAP, main
+from bvdesk.cli import (EVAL_CAP, MAX_CONVERGENT_INDEX, MAX_MATRIX_ORDER, MAX_TRIALS, PI_CAP,
+                        main)
 
 
 @pytest.fixture
@@ -166,6 +167,17 @@ class TestOps:
         path.write_text(json.dumps([["1", "2"], ["3"]]))
         assert main(["ops", "classify", "--matrix", str(path)]) == 2
 
+    def test_matrix_order_at_cap_accepted(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.ops, "is_band_preserving", started)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_diagonal(MAX_MATRIX_ORDER)))
+        with pytest.raises(Started):
+            main(["ops", "classify", "--matrix", str(path)])
+
+
+def _diagonal(n):
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
 
 class TestBilinear:
     def test_classify(self, capsys, tmp_path):
@@ -225,6 +237,17 @@ class TestContfrac:
                                        "--k", "6"])
         assert code == 0
         assert data["convergent"] == "70/169"
+
+    def test_convergent_index_cap_is_the_last_that_prints(self, capsys):
+        # the golden ratio's denominators q_k = F_(k+1) grow slowest of all inputs
+        fib = [0, 1]
+        while len(fib) < MAX_CONVERGENT_INDEX + 3:
+            fib.append(fib[-1] + fib[-2])
+        assert fib[MAX_CONVERGENT_INDEX + 1] < 10 ** 4300 <= fib[MAX_CONVERGENT_INDEX + 2]
+        code, data = run_json(capsys, ["cf", "convergent", "--surd=-1,1,2,5",
+                                       "--k", str(MAX_CONVERGENT_INDEX)])
+        assert code == 0
+        assert data["convergent"].endswith(f"/{fib[MAX_CONVERGENT_INDEX + 1]}")
 
     def test_out_of_range_exits_2(self, capsys):
         assert main(["cf", "expand", "--value", "3/2"]) == 2
@@ -385,6 +408,12 @@ MALFORMED = [
     (["ops", "classify", "--matrix", "FILE"], [["1e999999"]]),
     (["lattice", "gordon", "--atoms", "16", "--trials", "100000000"], None),
     (["algebra", "check", "--atoms", "16", "--trials", str(MAX_TRIALS + 1)], None),
+    # no order cap (n^3 products for a diagonal matrix), and --k refused only after
+    # expanding k quotients
+    (["ops", "classify", "--matrix", "FILE"], _diagonal(MAX_MATRIX_ORDER + 1)),
+    (["cf", "convergent", "--surd=-1,1,2,5", "--k", str(MAX_CONVERGENT_INDEX + 1)], None),
+    (["cf", "convergent", "--surd=-1,1,2,5", "--k", "1000000000"], None),
+    (["cf", "convergent", "--value", "16/45", "--k", "100000"], None),
 ]
 
 
@@ -397,7 +426,10 @@ def run_in_process(argv, payload=None):
             json.dump(payload, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([path if a == "FILE" else a for a in argv])
+            try:
+                code = main([path if a == "FILE" else a for a in argv])
+            except SystemExit as exc:  # argparse refuses a bad command line this way
+                code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -411,10 +443,11 @@ def test_malformed_input_exits_2(argv, payload):
 
 
 def assert_boundary_holds(argv, payload=None):
-    """No exception escapes, the exit code is 0, 1 or 2, and the --json
-    report is the same on a rerun."""
+    """No exception escapes, the exit code is 0, 1 or 2, stderr holds no
+    traceback, and the --json report is the same on a rerun."""
     first = run_in_process(argv + ["--json"], payload)
     assert first[0] in (0, 1, 2)
+    assert "Traceback" not in first[2]
     assert run_in_process(argv + ["--json"], payload)[:2] == first[:2]
 
 
@@ -479,3 +512,84 @@ def test_boundary_fuzz_json_inputs(command):
 @example("--surd", "1,1,0,2")
 def test_boundary_fuzz_value_strings(flag, text):
     assert_boundary_holds(["cf", "expand", f"{flag}={text}"])
+
+
+#: Numbers that are cheap where a command accepts them, or out of range,
+#: above a cap or not numbers at all.  A ``pnfin pi --count`` in the thousands
+#: at a small horizon passes every cap and runs for seconds, so none is drawn.
+SMALL = ["-1", "0", "1", "2", "3"]
+OUT = ["17", "10000000000", "-10000000000", "x", "2.5", ""]
+FILES = ["FILE", "/nonexistent/input.json"]
+NAMES = st.sampled_from(["empty", "one", "two", "pair", "y", "t", "u", "ghost"])
+FORMULAS = st.recursive(
+    st.tuples(NAMES, st.sampled_from(["=", "in"]), NAMES).map(" ".join),
+    lambda inner: (inner.map(lambda f: f"!({f})")
+                   | st.tuples(inner, st.sampled_from(["&", "|", "->"]), inner).map(
+                       lambda p: f"({p[0]} {p[1]} {p[2]})")
+                   | st.tuples(st.sampled_from(["forall", "exists"]), st.sampled_from(["t", "u"]),
+                               NAMES, inner).map(lambda p: f"{p[0]} {p[1]} in {p[2]} : {p[3]}")),
+    max_leaves=8)
+FORMULA_TEXTS = (FORMULAS
+                 | st.lists(st.sampled_from(["forall", "exists", "in", ":", "(", ")", "!", "&",
+                                             "|", "->", "=", "t", "two", "empty", "<", "-"]),
+                            max_size=12).map(" ".join)
+                 | st.text(max_size=12))
+#: The flags that take a value, with a strategy for it.
+FLAG_VALUES = {
+    "--atoms": st.sampled_from(SMALL + OUT),
+    "--trials": st.sampled_from(SMALL + OUT + [str(MAX_TRIALS + 1)]),
+    "--k": st.sampled_from(SMALL + OUT + [str(MAX_CONVERGENT_INDEX),
+                                          str(MAX_CONVERGENT_INDEX + 1)]),
+    "--count": st.sampled_from(SMALL + OUT),
+    "--horizon": st.sampled_from(SMALL + OUT),
+    "--seed": st.sampled_from(SMALL + OUT),
+    "--family": st.sampled_from(["dyadic", "tails", "primes-thinned", "bogus", ""]),
+    "--value": st.sampled_from(["16/45", "0.5", "3/2", "1/0", "1e-9999999", "x", ""]),
+    "--surd": st.sampled_from(["-1,1,2,5", "-1,1,1,2", "1,2", "1,1,0,2", "x"]),
+    "--formula": FORMULA_TEXTS,
+    **{flag: st.sampled_from(FILES) for flag in ("--env", "--matrix", "--tensor",
+                                                 "--covers", "--spec")},
+}
+#: (command words, JSON for FILE, flags always passed, flags sometimes passed).
+#: ``--trials`` is always passed: its defaults run for a fifth of a second.
+ARGV_COMMANDS = [
+    (["algebra", "check"], None, ["--trials"], ["--atoms"]),
+    (["lattice", "gordon"], None, ["--trials"], ["--atoms"]),
+    (["bvu", "transfer"], None, [], ["--atoms", "--battery"]),
+    (["bvu", "eval"], {"two": {"hf": 2}, "y": {"dom": [[{"hf": []}, {"atoms": [0]}]]}},
+     ["--env", "--formula"], ["--atoms"]),
+    (["ops", "classify"], _diagonal(3), ["--matrix"], []),
+    (["ops", "derivations"], None, [], ["--atoms"]),
+    (["bilinear", "classify"], [[["1"]]], ["--tensor"], []),
+    (["refine"], {"atoms": 3, "covers": [[{"atoms": [0]}, {"atoms": [1, 2]}]]}, ["--covers"], []),
+    (["cf", "expand"], None, [], ["--value", "--surd"]),
+    (["cf", "convergent"], None, ["--k"], ["--value", "--surd"]),
+    (["pnfin", "pi"], {"family": "dyadic", "params": {"base": 3}}, [],
+     ["--family", "--spec", "--count", "--horizon"]),
+    (["bogus"], None, [], []),
+]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_boundary_fuzz_argv(data):
+    words, payload, always, sometimes = data.draw(st.sampled_from(ARGV_COMMANDS))
+    flags = always + data.draw(st.lists(
+        st.sampled_from(sometimes + ["--seed", "--battery", "--bogus", "--help"]), max_size=3))
+    argv = list(words)
+    for flag in data.draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag in FLAG_VALUES:
+            argv.append(data.draw(FLAG_VALUES[flag]))
+    assert_boundary_holds(argv, payload)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(FORMULA_TEXTS)
+@example("forall t in two : exists u in t : u in t -> t = u")
+@example("(" * 200 + "two = two" + ")" * 200)
+def test_boundary_fuzz_formula_texts(text):
+    env = {"empty": {"hf": 0}, "one": {"hf": 1}, "two": {"hf": 2}, "pair": {"hf": [[], [[]]]},
+           "y": {"dom": [[{"hf": []}, {"atoms": [0]}]]}}
+    assert_boundary_holds(["bvu", "eval", "--atoms", "2", "--env", "FILE", "--formula", text],
+                          env)

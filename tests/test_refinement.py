@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -6,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdesk.boolalg import FiniteBooleanAlgebra, is_refined_from
+from bvdesk.boolalg import BoolElem, FiniteBooleanAlgebra, is_refined_from
 from bvdesk.bvu import ResourceCapError
+from bvdesk.cli import main
 from bvdesk.lattice import AtomicLattice
 from bvdesk.refinement import (MAX_ATOMS, build_tower, constancy_partition,
                                constancy_refinement_check,
@@ -21,22 +26,86 @@ FIXTURE_COVERS = [
 ]
 
 
+# -- the padded tower, kept as the oracle of the address tower ----------------------
+
+
+def _split_once(blocks, cover):
+    """One doubling: each block becomes a sibling pair."""
+    out = []
+    for u in blocks:
+        if u.is_zero or any(u.leq(c) for c in cover):
+            out.extend((u, u.algebra.bottom))
+            continue
+        piece = next(u.meet(c) for c in cover
+                     if not u.meet(c).is_zero and u.meet(c) != u)
+        out.extend((piece, u.minus(piece)))
+    return out
+
+
+def reference_tower(algebra, covers):
+    """(levels of 2^m padded blocks, cover levels), built block by block."""
+    levels = []
+    current = [algebra.top]
+    cover_levels = []
+    for members in covers:
+        while not all(b.is_zero or any(b.leq(c) for c in members) for b in current):
+            current = _split_once(current, members)
+            levels.append(current)
+        if not levels:
+            current = _split_once(current, members)
+            levels.append(current)
+        cover_levels.append(len(levels))
+    if not levels:
+        levels.append([algebra.top, algebra.bottom])
+    return tuple(tuple(level) for level in levels), tuple(cover_levels)
+
+
+def sibling_rule_holds(levels):
+    for m in range(len(levels) - 1):
+        for j, parent in enumerate(levels[m]):
+            if levels[m + 1][2 * j].join(levels[m + 1][2 * j + 1]) != parent:
+                return False
+    return True
+
+
+def reference_block_index(levels, m, atom):
+    """Index of the level-m (1-based) block containing the atom, by scanning."""
+    return next(j for j, b in enumerate(levels[m - 1]) if b.mask >> atom & 1)
+
+
+def reference_chi(levels, m, n):
+    """Indicator of the union of even-indexed (1-based) blocks at level m."""
+    union = 0
+    for j, b in enumerate(levels[m - 1]):
+        if j % 2 == 1:
+            union |= b.mask
+    return [1 if union >> q & 1 else 0 for q in range(n)]
+
+
+def padded_levels(tower):
+    """The padded levels the tower's JSON report writes, as elements."""
+    return tuple(tuple(BoolElem.from_json(b, tower.algebra) for b in level)
+                 for level in tower.to_json()["levels"])
+
+
 class TestTower:
     def test_fixture_levels(self):
         tower = build_tower(A4, FIXTURE_COVERS)
-        assert tower.levels[0] == (A4.element([0, 1]), A4.element([2, 3]))
-        assert tower.levels[1] == (A4.element([0]), A4.element([1]),
-                                   A4.element([2]), A4.element([3]))
+        levels = padded_levels(tower)
+        assert levels[0] == (A4.element([0, 1]), A4.element([2, 3]))
+        assert levels[1] == (A4.element([0]), A4.element([1]),
+                             A4.element([2]), A4.element([3]))
+        assert tower.addresses == (0, 1, 2, 3)
         assert tower.cover_levels == (1, 2)
-        assert tower.sibling_rule_holds()
+        assert sibling_rule_holds(levels)
 
     def test_empty_cover_list_identity_tower(self):
         tower = build_tower(A4, [])
-        assert tower.levels == ((A4.top, A4.bottom),)
+        assert padded_levels(tower) == ((A4.top, A4.bottom),)
 
     def test_trivial_cover(self):
         tower = build_tower(A4, [[A4.top]])
-        assert tower.levels == ((A4.top, A4.bottom),)
+        assert padded_levels(tower) == ((A4.top, A4.bottom),)
         assert tower.cover_levels == (1,)
 
     def test_levels_are_padded_partitions(self):
@@ -45,8 +114,9 @@ class TestTower:
             algebra = FiniteBooleanAlgebra(rng.randint(2, 10))
             covers = [_random_cover(rng, algebra) for _ in range(rng.randint(1, 4))]
             tower = build_tower(algebra, covers)
-            assert tower.sibling_rule_holds()
-            for m, level in enumerate(tower.levels):
+            levels = padded_levels(tower)
+            assert sibling_rule_holds(levels)
+            for m, level in enumerate(levels):
                 assert len(level) == 2 ** (m + 1)
                 nonzero = [b for b in level if not b.is_zero]
                 assert algebra.sup(nonzero).is_one
@@ -98,6 +168,61 @@ class TestTower:
         assert build_tower(algebra, [[algebra.top], *splits]).height == atoms
 
 
+class TestAgainstPaddedTower:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10 ** 6), st.integers(0, 5), st.booleans(),
+           st.integers(0, 11))
+    def test_address_tower_matches_padded_oracle(self, atoms, seed, n_covers, trivial_first,
+                                                 n_splits):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        covers = [_random_cover(rng, algebra) for _ in range(n_covers)]
+        if trivial_first:
+            covers.insert(0, [algebra.top])
+        # covers splitting off one atom each drive the height towards the atom count
+        for q in rng.sample(range(atoms), min(n_splits, atoms - 1)):
+            covers.append([algebra.atom(q), algebra.atom(q).complement()])
+        levels, cover_levels = reference_tower(algebra, covers)
+        assert sibling_rule_holds(levels)
+        result = refine_report(algebra, covers)
+        tower = result.tower
+        assert tower.height == len(levels)
+        assert tower.to_json() == {
+            "levels": [[b.to_json() for b in level] for level in levels],
+            "cover_levels": list(cover_levels),
+        }
+        for m, level in enumerate(levels, start=1):
+            assert tower.level_partition(m).blocks == tuple(b for b in level if not b.is_zero)
+        chis = [reference_chi(levels, m, atoms) for m in range(1, len(levels) + 1)]
+        assert result.g.coords == tuple(
+            sum((Fraction(chi[q], 3 ** m) for m, chi in enumerate(chis, start=1)), Fraction(0))
+            for q in range(atoms))
+        expected = {}
+        for q1 in range(atoms):
+            for q2 in range(q1 + 1, atoms):
+                first = next((m for m in range(1, len(levels) + 1)
+                              if reference_block_index(levels, m, q1)
+                              != reference_block_index(levels, m, q2)), None)
+                if first is not None:
+                    expected[(q1, q2)] = first
+        assert {s.atom_pair: s.level for s in result.separations} == expected
+        assert [s.atom_pair for s in result.separations] == sorted(expected)
+
+    def test_split_fixture_report_is_pinned(self, tmp_path):
+        # one atom split off per cover: height 15, 65 534 padded blocks in the report
+        atoms = 16
+        spec = {"atoms": atoms,
+                "covers": [[{"atoms": [q]}, {"atoms": [a for a in range(atoms) if a != q]}]
+                           for q in range(atoms - 1)]}
+        path = tmp_path / "covers.json"
+        path.write_text(json.dumps(spec))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["refine", "--covers", str(path), "--json"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "8da7f90a07b30442024e4cbe82430aecc154ba65184b25469ca97360502993e4")
+
+
 def _random_cover(rng, algebra):
     members = [algebra.from_mask(rng.randrange(1, algebra.full_mask + 1))
                for _ in range(rng.randint(1, 4))]
@@ -142,7 +267,8 @@ class TestRefinedFunction:
     def test_determinism(self):
         r1 = refine_report(A4, FIXTURE_COVERS)
         r2 = refine_report(A4, FIXTURE_COVERS)
-        assert r1.g == r2.g and r1.tower.levels == r2.tower.levels
+        assert r1.g == r2.g and r1.tower == r2.tower
+        assert r1.tower.to_json() == r2.tower.to_json()
 
 
 class TestFunctionRefinement:
