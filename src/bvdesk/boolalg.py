@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -292,21 +293,25 @@ def axioms_hold_on_triple(a: BoolElem, b: BoolElem, c: BoolElem) -> bool:
     """All Boolean-algebra axioms instantiated at one triple.
 
     Associativity, commutativity, absorption, both distributive laws, and
-    the complement laws; exhaustion over all triples at small atom counts
-    proves the axioms outright, random triples sample larger algebras.
+    the complement laws, evaluated on the masks once the three elements are
+    known to share an algebra; exhaustion over all triples at small atom
+    counts proves the axioms outright, random triples sample larger algebras.
     """
-    algebra = a.algebra
+    a._check(b)
+    a._check(c)
+    full = a.algebra.full_mask
+    x, y, z = a.mask, b.mask, c.mask
     return (
-        a.meet(b.meet(c)) == a.meet(b).meet(c)
-        and a.join(b.join(c)) == a.join(b).join(c)
-        and a.meet(b) == b.meet(a)
-        and a.join(b) == b.join(a)
-        and a.meet(a.join(b)) == a
-        and a.join(a.meet(b)) == a
-        and a.meet(b.join(c)) == a.meet(b).join(a.meet(c))
-        and a.join(b.meet(c)) == a.join(b).meet(a.join(c))
-        and a.meet(a.complement()) == algebra.bottom
-        and a.join(a.complement()) == algebra.top
+        x & (y & z) == (x & y) & z
+        and x | (y | z) == (x | y) | z
+        and x & y == y & x
+        and x | y == y | x
+        and x & (x | y) == x
+        and x | (x & y) == x
+        and x & (y | z) == (x & y) | (x & z)
+        and x | (y & z) == (x | y) & (x | z)
+        and x & (x ^ full) == 0
+        and x | (x ^ full) == full
     )
 
 
@@ -346,57 +351,44 @@ class SigmaReport:
         }
 
 
-def sigma_form1(matrix: Sequence[Sequence[BoolElem]]) -> tuple[BoolElem, BoolElem]:
-    """Meet-of-joins vs join over selectors of meets: both sides of form 1."""
-    algebra = matrix[0][0].algebra
-    lhs = algebra.inf(algebra.sup(row) for row in matrix)
-    m = len(matrix[0])
-    rhs = algebra.sup(
-        algebra.inf(row[sel[i]] for i, row in enumerate(matrix))
-        for sel in itertools.product(range(m), repeat=len(matrix))
-    )
-    return lhs, rhs
+def _sigma_sides(matrix: list[list[int]], full: int) -> tuple[tuple[int, int], ...]:
+    """Both sides of forms 1, 2 and 3 on a mask matrix, by brute force.
 
-
-def sigma_form2(matrix: Sequence[Sequence[BoolElem]]) -> tuple[BoolElem, BoolElem]:
-    """Join-of-meets vs meet over selectors of joins: both sides of form 2."""
-    algebra = matrix[0][0].algebra
-    lhs = algebra.sup(algebra.inf(row) for row in matrix)
-    m = len(matrix[0])
-    rhs = algebra.inf(
-        algebra.sup(row[sel[i]] for i, row in enumerate(matrix))
-        for sel in itertools.product(range(m), repeat=len(matrix))
-    )
-    return lhs, rhs
-
-
-def sigma_form3(seq: Sequence[BoolElem]) -> tuple[BoolElem, BoolElem]:
-    """Join over all sign vectors of meets of signed elements, vs 1.
-
-    The sign +1 keeps b_n, the sign -1 replaces it by its complement.
+    A selector picks one entry per row, so ``itertools.product(*matrix)``
+    runs through the picks of every selector; form 3 runs through the sign
+    vectors of the first column the same way, a sign choosing b_n or its
+    complement.
     """
-    algebra = seq[0].algebra
-    lhs = algebra.sup(
-        algebra.inf(b if s else b.complement() for b, s in zip(seq, signs))
-        for signs in itertools.product((True, False), repeat=len(seq))
-    )
-    return lhs, algebra.top
+    rhs1, rhs2 = 0, full
+    for picked in itertools.product(*matrix):
+        rhs1 |= reduce(and_, picked)
+        rhs2 &= reduce(or_, picked)
+    lhs1 = reduce(and_, (reduce(or_, row) for row in matrix))
+    lhs2 = reduce(or_, (reduce(and_, row) for row in matrix))
+    lhs3 = 0
+    for signed in itertools.product(*((row[0], row[0] ^ full) for row in matrix)):
+        lhs3 |= reduce(and_, signed)
+    return (lhs1, rhs1), (lhs2, rhs2), (lhs3, full)
 
 
 def sigma_criteria_check(matrix: Sequence[Sequence[BoolElem]]) -> SigmaReport:
     """Evaluate all three finitized distributivity forms on a finite matrix.
 
-    Rows must be nonempty and of equal length.  Form 3 is evaluated on the
-    first column.  On a finite algebra all three verdicts are always true.
+    Rows must be nonempty and of equal length, and every entry must belong
+    to the algebra of the first.  Form 3 is evaluated on the first column.
+    On a finite algebra all three verdicts are always true.
     """
     if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty with nonempty rows")
     width = len(matrix[0])
     if any(len(row) != width for row in matrix):
         raise ValueError("matrix rows must have equal length")
-    l1, r1 = sigma_form1(matrix)
-    l2, r2 = sigma_form2(matrix)
-    l3, r3 = sigma_form3([row[0] for row in matrix])
+    algebra = matrix[0][0].algebra
+    for row in matrix:
+        for x in row:
+            algebra._check(x)
+    (l1, r1), (l2, r2), (l3, r3) = _sigma_sides(
+        [[x.mask for x in row] for row in matrix], algebra.full_mask)
     return SigmaReport(
         n_index=len(matrix),
         m_index=width,

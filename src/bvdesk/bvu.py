@@ -79,12 +79,6 @@ class BSet:
     def children(self) -> tuple["BSet", ...]:
         return tuple(t for t, _ in self.dom)
 
-    def value(self, child: "BSet") -> BoolElem:
-        for t, b in self.dom:
-            if t is child:
-                return b
-        return self.algebra.bottom
-
     def __repr__(self) -> str:
         if not self.dom:
             return "{}"
@@ -247,10 +241,6 @@ def hf_literal(obj) -> frozenset:
     if isinstance(obj, (list, tuple, set, frozenset)):
         return frozenset(hf_literal(m) for m in obj)
     raise TypeError(f"cannot interpret {obj!r} as a hereditarily finite set")
-
-
-def hf_rank(h: frozenset) -> int:
-    return 1 + max((hf_rank(m) for m in h), default=-1)
 
 
 _NAME_CACHE: dict[tuple[int, frozenset], BSet] = {}

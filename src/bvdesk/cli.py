@@ -71,12 +71,17 @@ EVAL_CAP = 10 ** 5
 #: Largest ``count * horizon`` that ``pnfin pi`` may ask for: the chain check
 #: enumerates up to ``horizon`` elements of each of ``count`` levels.
 PI_CAP = 10 ** 6
-#: Largest work estimate ``pnfin pi`` may start on a dyadic chain of base b.
-#: The inclusion check enumerates about ``horizon * b`` elements of each of
-#: ``count`` levels, and the tail-membership check makes about ``count^2 / 2``
-#: searches of up to ``2 * count * log2(b)`` steps each; ``count * horizon``
-#: alone misses both the base and the cubic term.
-DYADIC_CAP = 5 * 10 ** 6
+#: Largest work estimate ``count * horizon * b + count^2 * bits`` that
+#: ``pnfin pi`` may start, on any chain.  The inclusion check enumerates about
+#: ``horizon * b`` elements of each of ``count`` levels, where b is a dyadic
+#: chain's base and 2 for the other families.  The tail-membership check makes
+#: about ``count^2 / 2`` galloping searches of up to twice the bit length of
+#: the largest selected element: b^count on a dyadic chain, so
+#: ``bits = count * bitlength(b)``, and below 16 * count on the tails chain
+#: (count + 1) and the primes-thinned chain (the count-th prime), so
+#: ``bits = bitlength(16 * count)``.  ``count * horizon`` alone misses both the
+#: base and the search term.
+PI_WORK_CAP = 5 * 10 ** 6
 #: Most ``--trials`` that ``lattice gordon`` and ``algebra check`` may run.
 MAX_TRIALS = 10 ** 4
 #: Largest matrix order ``ops classify`` accepts: recovering the multiplier of
@@ -309,6 +314,8 @@ def cmd_cf_convergent(args) -> RunReport:
 def cmd_pnfin_pi(args) -> RunReport:
     if args.horizon < 1:  # else count * horizon <= 0 would let any count through
         raise ValueError(f"--horizon must be at least 1, not {args.horizon}")
+    if args.count < 1:  # else the work estimate below would misreport it
+        raise ValueError("count must be positive")
     if args.count * args.horizon > PI_CAP:
         raise bvu.ResourceCapError(
             f"count {args.count} times horizon {args.horizon} exceeds the cap {PI_CAP}")
@@ -321,13 +328,16 @@ def cmd_pnfin_pi(args) -> RunReport:
                              f"choose from {sorted(BUILTIN_CHAINS)}")
         spec = {"family": args.family}
         chain = BUILTIN_CHAINS[args.family]()
+    base = spec.get("params", {}).get("base", 2)
     if spec["family"] == "dyadic":
-        base = spec.get("params", {}).get("base", 2)
-        work = args.count * (args.horizon * base + args.count ** 2 * base.bit_length())
-        if work > DYADIC_CAP:
-            raise bvu.ResourceCapError(
-                f"a dyadic chain of base {base} at count {args.count} and horizon "
-                f"{args.horizon} needs about {work} steps, above the cap {DYADIC_CAP}")
+        bits = args.count * base.bit_length()
+    else:
+        bits = (16 * args.count).bit_length()
+    work = args.count * args.horizon * base + args.count ** 2 * bits
+    if work > PI_WORK_CAP:
+        raise bvu.ResourceCapError(
+            f"the {spec['family']} chain at count {args.count} and horizon {args.horizon} "
+            f"needs about {work} steps, above the cap {PI_WORK_CAP}")
     digest = _digest(spec)
     result = pnfin.pseudo_intersection(chain, count=args.count, horizon=args.horizon)
     report = RunReport("pnfin pi", digest, args.seed)

@@ -7,14 +7,79 @@ from hypothesis import strategies as st
 from bvdesk.boolalg import (AlgebraMismatchError, BoolElem, Cover,
                             FiniteBooleanAlgebra, Partition,
                             axioms_hold_on_triple, common_refinement,
-                            is_cover, is_partition, is_refined_from,
-                            sigma_criteria_check, sigma_form3)
+                            _sigma_sides, is_cover, is_partition,
+                            is_refined_from, sigma_criteria_check)
 
 A4 = FiniteBooleanAlgebra(4)
 
 
 def elem(*atoms):
     return A4.element(atoms)
+
+
+# -- the BoolElem law checks the mask kernels replaced, kept as oracles -------
+
+
+def reference_axioms_hold_on_triple(a, b, c):
+    algebra = a.algebra
+    return (
+        a.meet(b.meet(c)) == a.meet(b).meet(c)
+        and a.join(b.join(c)) == a.join(b).join(c)
+        and a.meet(b) == b.meet(a)
+        and a.join(b) == b.join(a)
+        and a.meet(a.join(b)) == a
+        and a.join(a.meet(b)) == a
+        and a.meet(b.join(c)) == a.meet(b).join(a.meet(c))
+        and a.join(b.meet(c)) == a.join(b).meet(a.join(c))
+        and a.meet(a.complement()) == algebra.bottom
+        and a.join(a.complement()) == algebra.top
+    )
+
+
+def reference_sigma_form1(matrix):
+    """Meet-of-joins vs join over selectors of meets: both sides of form 1."""
+    algebra = matrix[0][0].algebra
+    lhs = algebra.inf(algebra.sup(row) for row in matrix)
+    m = len(matrix[0])
+    rhs = algebra.sup(
+        algebra.inf(row[sel[i]] for i, row in enumerate(matrix))
+        for sel in itertools.product(range(m), repeat=len(matrix))
+    )
+    return lhs, rhs
+
+
+def reference_sigma_form2(matrix):
+    """Join-of-meets vs meet over selectors of joins: both sides of form 2."""
+    algebra = matrix[0][0].algebra
+    lhs = algebra.sup(algebra.inf(row) for row in matrix)
+    m = len(matrix[0])
+    rhs = algebra.inf(
+        algebra.sup(row[sel[i]] for i, row in enumerate(matrix))
+        for sel in itertools.product(range(m), repeat=len(matrix))
+    )
+    return lhs, rhs
+
+
+def reference_sigma_form3(seq):
+    """Join over all sign vectors of meets of signed elements, vs 1."""
+    algebra = seq[0].algebra
+    lhs = algebra.sup(
+        algebra.inf(b if s else b.complement() for b, s in zip(seq, signs))
+        for signs in itertools.product((True, False), repeat=len(seq))
+    )
+    return lhs, algebra.top
+
+
+def kernel_sides(matrix):
+    """The mask kernel's sides of forms 1-3, as BoolElem pairs."""
+    algebra = matrix[0][0].algebra
+    sides = _sigma_sides([[x.mask for x in row] for row in matrix], algebra.full_mask)
+    return [tuple(map(algebra.from_mask, pair)) for pair in sides]
+
+
+def reference_sides(matrix):
+    return [reference_sigma_form1(matrix), reference_sigma_form2(matrix),
+            reference_sigma_form3([row[0] for row in matrix])]
 
 
 class TestLatticeOps:
@@ -72,6 +137,23 @@ def test_axioms_thousand_random_triples():
         a, b, c = (algebra.from_mask(rng.randrange(algebra.full_mask + 1))
                    for _ in range(3))
         assert axioms_hold_on_triple(a, b, c)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 16), st.data())
+def test_axioms_match_reference(atom_count, data):
+    algebra = FiniteBooleanAlgebra(atom_count)
+    masks = st.integers(0, algebra.full_mask)
+    a, b, c = (algebra.from_mask(data.draw(masks)) for _ in range(3))
+    assert axioms_hold_on_triple(a, b, c) == reference_axioms_hold_on_triple(a, b, c)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_axioms_reject_mixed_algebras(position):
+    triple = [elem(0), elem(1), elem(2)]
+    triple[position] = FiniteBooleanAlgebra(3).element([0])
+    with pytest.raises(AlgebraMismatchError):
+        axioms_hold_on_triple(*triple)
 
 
 class TestPartitionsAndCovers:
@@ -168,11 +250,14 @@ class TestCommonRefinement:
 
 class TestSigmaCriteria:
     def test_form3_two_elements(self):
-        lhs, rhs = sigma_form3([elem(0, 1), elem(0, 2)])
+        matrix = [[elem(0, 1)], [elem(0, 2)]]
+        assert kernel_sides(matrix)[2] == (A4.top, A4.top)
+        lhs, rhs = reference_sigma_form3([elem(0, 1), elem(0, 2)])
         assert lhs == rhs == A4.top
 
     def test_form3_single_zero(self):
-        lhs, rhs = sigma_form3([A4.bottom])
+        assert kernel_sides([[A4.bottom]])[2] == (A4.top, A4.top)
+        lhs, rhs = reference_sigma_form3([A4.bottom])
         assert lhs == rhs == A4.top
 
     def test_report_all_hold(self):
@@ -188,6 +273,34 @@ class TestSigmaCriteria:
         matrix = [[algebra.from_mask(data.draw(masks)) for _ in range(3)]
                   for _ in range(3)]
         assert sigma_criteria_check(matrix).all_hold
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 16), st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_kernel_sides_match_reference(self, atoms, rows, cols, data):
+        algebra = FiniteBooleanAlgebra(atoms)
+        masks = st.integers(0, algebra.full_mask)
+        matrix = [[algebra.from_mask(data.draw(masks)) for _ in range(cols)]
+                  for _ in range(rows)]
+        expected = reference_sides(matrix)
+        assert kernel_sides(matrix) == expected
+        report = sigma_criteria_check(matrix)
+        assert [report.form1, report.form2, report.form3] == [l == r for l, r in expected]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2)])
+    def test_kernel_sides_at_the_shape_edges(self, shape):
+        rows, cols = shape
+        masks = itertools.cycle([0b0011, 0b0110, 0b1000, 0b0101, 0, 0b1111])
+        matrix = [[A4.from_mask(next(masks)) for _ in range(cols)] for _ in range(rows)]
+        assert kernel_sides(matrix) == reference_sides(matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        [[elem(0), FiniteBooleanAlgebra(3).element([0])]],
+        [[elem(0)], [FiniteBooleanAlgebra(3).element([0])]],
+        [[FiniteBooleanAlgebra(3).element([0])], [elem(0)]],
+    ])
+    def test_mixed_algebras_rejected(self, matrix):
+        with pytest.raises(AlgebraMismatchError):
+            sigma_criteria_check(matrix)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

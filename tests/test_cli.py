@@ -306,6 +306,35 @@ class TestPnfin:
         assert main(["pnfin", "pi", "--family", "tails", "--count", "50",
                      "--horizon", str(10 ** 12)]) == 2
 
+    @pytest.mark.parametrize("family", ["tails", "primes-thinned"])
+    @pytest.mark.parametrize("count", ["600", "1000", "2000"])
+    def test_search_work_above_cap_refused_before_work(self, capsys, monkeypatch,
+                                                        family, count):
+        def no_work(*args, **kwargs):
+            raise AssertionError("pseudo_intersection ran past the cap")
+
+        monkeypatch.setattr(cli.pnfin, "pseudo_intersection", no_work)
+        assert main(["pnfin", "pi", "--family", family, "--count", count,
+                     "--horizon", "3"]) == 2
+        assert "above the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["dyadic", "tails", "primes-thinned"])
+    def test_nonpositive_count_named_in_refusal(self, capsys, family):
+        assert main(["pnfin", "pi", "--family", family, "--count", "-10000000000",
+                     "--horizon", "1"]) == 2
+        assert "count must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["tails", "primes-thinned"])
+    @pytest.mark.parametrize("count, horizon", [
+        ("50", "10000"),  # criterion 12
+        ("33", "5500"), ("37", "5500"), ("37", "4500"),  # the benchmark's small requests
+        ("590", "3"),  # about 1.5 s, the most the search term lets through
+    ])
+    def test_search_work_under_cap_accepted(self, monkeypatch, family, count, horizon):
+        monkeypatch.setattr(cli.pnfin, "pseudo_intersection", started)
+        with pytest.raises(Started):
+            main(["pnfin", "pi", "--family", family, "--count", count, "--horizon", horizon])
+
     @pytest.mark.parametrize("argv", [
         ["--family", "dyadic", "--count", "50", "--horizon", "10000"],  # README, criterion 12
         ["--family", "dyadic", "--count", "50", "--horizon", "9000"],
