@@ -19,7 +19,7 @@ from . import bvu, contfrac, operators as ops, pnfin, refinement
 from .battery import run_battery
 from .boolalg import (BoolElem, FiniteBooleanAlgebra, Partition,
                       sigma_criteria_check)
-from .bvu import BSet, bset, mix, standard_name, truth_eq, truth_mem
+from .bvu import BSet, bset, mix, standard_name, stalks, truth_eq, truth_mem
 from .lattice import LatticeVector, gordon_check
 from .operators import GaussianRational
 
@@ -103,6 +103,11 @@ def random_cover(rng: random.Random, algebra: FiniteBooleanAlgebra) -> list[Bool
     return members
 
 
+def _equal_stalks(sx: tuple[frozenset, ...], sy: tuple[frozenset, ...]) -> int:
+    """The mask of the atoms i at which the stalks x_i and y_i are equal."""
+    return sum(1 << i for i, (a, b) in enumerate(zip(sx, sy)) if a == b)
+
+
 # -- criteria ------------------------------------------------------------------
 
 
@@ -123,6 +128,11 @@ def criterion_1_truth_value_laws(seed: int) -> CriterionResult:
         exy, eyx = truth_eq(x, y), truth_eq(y, x)
         if exy != eyx:
             return _fail(1, "truth-value laws", "symmetry failed", start)
+        # the memo holds one [[=]] entry per unordered pair, so symmetry holds
+        # by itself; the stalk relation is independent of that memo
+        memo: dict = {}
+        if not exy.mask == eyx.mask == _equal_stalks(stalks(x, memo), stalks(y, memo)):
+            return _fail(1, "truth-value laws", "equality disagrees with the stalks", start)
         eyz, exz = truth_eq(y, z), truth_eq(x, z)
         if not exy.meet(eyz).leq(exz):
             return _fail(1, "truth-value laws", "transitivity failed", start)

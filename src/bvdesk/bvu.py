@@ -142,7 +142,8 @@ def _intern(algebra: FiniteBooleanAlgebra, merged: dict[int, tuple[BSet, int]],
 
 # -- truth values ------------------------------------------------------------
 
-# Masks of [[x in y]] and [[x = y]] keyed by (x.uid, y.uid), for the recursion.
+# Masks of [[x in y]] keyed by (x.uid, y.uid) and of [[x = y]] keyed by the
+# pair in uid order (smaller first), for the recursion.
 _MEM_CACHE: dict[tuple[int, int], int] = {}
 _EQ_CACHE: dict[tuple[int, int], int] = {}
 # The elements truth_mem and truth_eq have returned, by the same keys, so that
@@ -178,12 +179,17 @@ def truth_eq(x: BSet, y: BSet) -> BoolElem:
 
     Computed structurally even for x is y (reflexivity is a theorem of the
     recursion, not a special case; the cache keeps the cost negligible).
+    The mask is memoized once per unordered pair, since [[x = y]] = [[y = x]];
+    a first query of (x, y) takes the element already returned for (y, x).
     """
     key = (x.uid, y.uid)
     got = _EQ_ANSWERS.get(key)
     if got is None:
-        _check_same(x, y)
-        got = _EQ_ANSWERS[key] = BoolElem(x.algebra, _eq(x, y))
+        got = _EQ_ANSWERS.get((y.uid, x.uid))
+        if got is None:
+            _check_same(x, y)
+            got = BoolElem(x.algebra, _eq(x, y))
+        _EQ_ANSWERS[key] = got
     return got
 
 
@@ -202,7 +208,10 @@ def _mem(x: BSet, y: BSet) -> int:
 
 def _eq(x: BSet, y: BSet) -> int:
     """[[x = y]] = inf_t (x(t) => [[t in y]]) ^ inf_t (y(t) => [[t in x]])
-    as a mask; x, y share an algebra."""
+    as a mask; x, y share an algebra.  Swapping x and y swaps the two
+    infima, so the pair is put in uid order first."""
+    if x.uid > y.uid:
+        x, y = y, x
     key = (x.uid, y.uid)
     acc = _EQ_CACHE.get(key)
     if acc is None:
@@ -237,7 +246,10 @@ def hf_literal(obj) -> frozenset:
     if isinstance(obj, int):
         if obj < 0:
             raise ValueError("negative integers have no von Neumann encoding")
-        return frozenset(hf_literal(k) for k in range(obj))
+        nat: frozenset = frozenset()
+        for _ in range(obj):  # n successor steps k + 1 = k | {k}
+            nat = nat | {nat}
+        return nat
     if isinstance(obj, (list, tuple, set, frozenset)):
         return frozenset(hf_literal(m) for m in obj)
     raise TypeError(f"cannot interpret {obj!r} as a hereditarily finite set")
@@ -671,9 +683,9 @@ def bset_from_json(obj: dict, algebra: FiniteBooleanAlgebra) -> BSet:
 
 def _hf_from_json(obj, depth: int = 0) -> frozenset:
     """The literal ``obj`` found inside ``depth`` arrays.  A literal whose
-    rank would exceed RANK_CAP is refused before it is built: it is at least
-    ``depth``, and ``n + depth`` for the natural n, whose literal takes 2^n
-    steps to build."""
+    rank would exceed RANK_CAP is refused before it is built, as its standard
+    name would be refused anyway: the rank is at least ``depth``, and
+    ``n + depth`` for the natural n."""
     if isinstance(obj, int) and not isinstance(obj, bool):
         if obj + depth > RANK_CAP:
             raise ResourceCapError(f"rank at least {obj + depth} exceeds cap {RANK_CAP}")

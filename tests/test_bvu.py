@@ -69,6 +69,9 @@ def test_equality_laws(seed, atoms):
     z = random_bset(rng, algebra, 3)
     assert truth_eq(x, x).is_one
     assert truth_eq(x, y) == truth_eq(y, x)
+    # one memo entry serves both orders, so check each against the oracle too
+    assert truth_eq(x, y) == reference_truth_eq(x, y)
+    assert truth_eq(y, x) == reference_truth_eq(y, x)
     assert truth_eq(x, y).meet(truth_eq(y, z)).leq(truth_eq(x, z))
     assert truth_eq(x, y).meet(truth_mem(y, z)).leq(truth_mem(x, z))
     assert truth_eq(x, y).meet(truth_mem(z, y)).leq(truth_mem(z, x))
@@ -103,12 +106,20 @@ class TestStandardNames:
             assert truth_mem(nu, nv).is_one or truth_mem(nu, nv).is_zero
 
     def test_literal_rejections(self):
-        with pytest.raises(TypeError):
-            hf_literal(True)
-        with pytest.raises(ValueError):
-            hf_literal(-1)
-        with pytest.raises(TypeError):
-            hf_literal("abc")
+        for bad in (True, False, "abc", "3"):
+            with pytest.raises(TypeError):
+                hf_literal(bad)
+        for bad in (-1, -8):
+            with pytest.raises(ValueError):
+                hf_literal(bad)
+
+    def test_naturals_match_the_recursive_literal(self):
+        def natural(n):
+            return frozenset(natural(k) for k in range(n))
+
+        for n in range(9):
+            assert hf_literal(n) == natural(n)
+        assert len(hf_literal(500)) == 500  # n successor steps, not 2^n sets
 
 
 class TestMixing:
@@ -538,6 +549,49 @@ class TestMaskCore:
             eval_atomwise(parse("ghost = ghost"), {"empty": name(0)})
         with pytest.raises(EvalError):
             eval_atomwise(parse("a = a"), {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_any_query_order_gives_the_reference_values(self, seed, atoms):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        bvu.clear_truth_caches()
+        sets = random_family(rng, algebra, 5)
+        queries = [(f, x, y) for f in (truth_eq, truth_mem)
+                   for x, y in itertools.product(sets, repeat=2)]
+        rng.shuffle(queries)
+        if rng.random() < 0.5:  # every (y, x) with x.uid < y.uid before any (x, y)
+            queries.sort(key=lambda q: q[1].uid < q[2].uid)
+        memo = {}
+        for f, x, y in queries + queries:
+            sx, sy = stalks(x, memo), stalks(y, memo)
+            if f is truth_eq:
+                assert f(x, y) == reference_truth_eq(x, y)
+                assert f(x, y).mask == sum(1 << i for i in range(atoms) if sx[i] == sy[i])
+            else:
+                assert f(x, y) == reference_truth_mem(x, y)
+                assert f(x, y).mask == sum(1 << i for i in range(atoms) if sx[i] in sy[i])
+        assert all(a <= b for a, b in bvu._EQ_CACHE)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_warm_truth_calls_do_not_recurse(self, seed, atoms):
+        rng = random.Random(seed)
+        sets = random_family(rng, FiniteBooleanAlgebra(atoms), 4)
+        bvu.clear_truth_caches()
+        pairs = list(itertools.product(sets, repeat=2))
+        # [[=]] in one order only: the other order reuses the returned element
+        eq = {(x.uid, y.uid): truth_eq(x, y) for x, y in pairs if x.uid <= y.uid}
+        mem = {(x.uid, y.uid): truth_mem(x, y) for x, y in pairs}
+        real = bvu._eq, bvu._mem
+        try:
+            bvu._eq = lambda *args: pytest.fail("warm truth_eq recursed")
+            bvu._mem = lambda *args: pytest.fail("warm truth_mem recursed")
+            for x, y in pairs:
+                assert truth_eq(x, y) is eq[min(x.uid, y.uid), max(x.uid, y.uid)]
+                assert truth_mem(x, y) is mem[x.uid, y.uid]
+        finally:
+            bvu._eq, bvu._mem = real
 
     def test_memo_tables_hold_masks(self):
         bvu.clear_truth_caches()
