@@ -66,16 +66,6 @@ BATTERY: tuple[BatteryItem, ...] = (
 )
 
 
-def von_neumann_natural_formula(name: str) -> str:
-    """A bounded formula true of exactly the von Neumann naturals.
-
-    Transitivity plus membership trichotomy characterize the finite
-    ordinals among hereditarily finite sets.
-    """
-    return (f"(forall a in {name} : forall b in a : b in {name})"
-            f" & (forall a in {name} : forall b in {name} : (a in b | b in a | a = b))")
-
-
 @dataclass(frozen=True)
 class BatteryOutcome:
     item: BatteryItem

@@ -44,7 +44,8 @@ from typing import Iterable, Mapping, Sequence
 from . import formula as F
 from .boolalg import BoolElem, FiniteBooleanAlgebra, Partition, is_partition
 
-#: Default resource caps; exceeding them raises :class:`ResourceCapError`.
+#: Resource caps; exceeding them raises :class:`ResourceCapError`.  No
+#: function takes a per-call cap: to raise one, set the constant.
 RANK_CAP = 6
 DOM_CAP = 32
 #: Most classes :func:`descent` and :func:`atom_mixings` may return.
@@ -65,22 +66,28 @@ class BSet:
     Do not instantiate directly; use :func:`bset`, :func:`standard_name`,
     :func:`mix`, or :func:`ascent`.  Identity coincides with structural
     equality thanks to interning.
+
+    The domain is stored once, as ``entries``: the (child, mask) pairs in
+    child-uid order, zero-valued children included.  ``dom`` builds the same
+    pairs with :class:`BoolElem` values on request.
     """
 
-    __slots__ = ("algebra", "dom", "support", "rank", "uid")
+    __slots__ = ("algebra", "entries", "rank", "uid")
 
     algebra: FiniteBooleanAlgebra
-    dom: tuple[tuple["BSet", BoolElem], ...]
-    #: The entries of ``dom`` with a nonzero value, as (child, mask) pairs.
-    support: tuple[tuple["BSet", int], ...]
+    entries: tuple[tuple["BSet", int], ...]
     rank: int
     uid: int
 
+    @property
+    def dom(self) -> tuple[tuple["BSet", BoolElem], ...]:
+        return tuple([(t, BoolElem(self.algebra, m)) for t, m in self.entries])
+
     def children(self) -> tuple["BSet", ...]:
-        return tuple(t for t, _ in self.dom)
+        return tuple(t for t, _ in self.entries)
 
     def __repr__(self) -> str:
-        if not self.dom:
+        if not self.entries:
             return "{}"
         inner = ", ".join(f"{t!r}@{b!r}" for t, b in self.dom)
         return "{" + inner + "}"
@@ -94,10 +101,7 @@ _UIDS = itertools.count()
 
 
 def bset(algebra: FiniteBooleanAlgebra,
-         pairs: Iterable[tuple[BSet, BoolElem]] = (),
-         *,
-         max_rank: int | None = None,
-         max_dom: int | None = None) -> BSet:
+         pairs: Iterable[tuple[BSet, BoolElem]] = ()) -> BSet:
     """Intern-constructing factory for B-valued sets.
 
     Duplicate children are merged by joining their values.  The children
@@ -112,28 +116,24 @@ def bset(algebra: FiniteBooleanAlgebra,
             raise ValueError("value lies in a different algebra")
         got = merged.get(child.uid)
         merged[child.uid] = (child, val.mask if got is None else got[1] | val.mask)
-    return _intern(algebra, merged, max_rank, max_dom)
+    return _intern(algebra, merged)
 
 
-def _intern(algebra: FiniteBooleanAlgebra, merged: dict[int, tuple[BSet, int]],
-            max_rank: int | None = None, max_dom: int | None = None) -> BSet:
+def _intern(algebra: FiniteBooleanAlgebra, merged: dict[int, tuple[BSet, int]]) -> BSet:
     """The interned set whose entries are the (child, mask) values of
     ``merged``, a dict keyed by child uid over children of ``algebra``."""
-    max_rank = RANK_CAP if max_rank is None else max_rank
-    max_dom = DOM_CAP if max_dom is None else max_dom
-    if len(merged) > max_dom:
-        raise ResourceCapError(f"domain size {len(merged)} exceeds cap {max_dom}")
+    if len(merged) > DOM_CAP:
+        raise ResourceCapError(f"domain size {len(merged)} exceeds cap {DOM_CAP}")
     entries = [merged[uid] for uid in sorted(merged)]
     key = (algebra.atom_count, tuple([(t.uid, m) for t, m in entries]))
     obj = _INTERN.get(key)
     rank = obj.rank if obj is not None else 1 + max([t.rank for t, _ in entries], default=-1)
-    if rank > max_rank:
-        raise ResourceCapError(f"rank {rank} exceeds cap {max_rank}")
+    if rank > RANK_CAP:
+        raise ResourceCapError(f"rank {rank} exceeds cap {RANK_CAP}")
     if obj is None:
         obj = object.__new__(BSet)
         object.__setattr__(obj, "algebra", algebra)
-        object.__setattr__(obj, "dom", tuple([(t, BoolElem(algebra, m)) for t, m in entries]))
-        object.__setattr__(obj, "support", tuple([e for e in entries if e[1]]))
+        object.__setattr__(obj, "entries", tuple(entries))
         object.__setattr__(obj, "rank", rank)
         object.__setattr__(obj, "uid", next(_UIDS))
         _INTERN[key] = obj
@@ -199,7 +199,7 @@ def _mem(x: BSet, y: BSet) -> int:
     acc = _MEM_CACHE.get(key)
     if acc is None:
         acc = 0
-        for t, b in y.support:
+        for t, b in y.entries:
             if b & ~acc:
                 acc |= b & _eq(t, x)
         _MEM_CACHE[key] = acc
@@ -216,10 +216,10 @@ def _eq(x: BSet, y: BSet) -> int:
     acc = _EQ_CACHE.get(key)
     if acc is None:
         acc = x.algebra.full_mask
-        for t, b in x.support:
+        for t, b in x.entries:
             if b & acc:
                 acc &= ~b | _mem(t, y)
-        for t, b in y.support:
+        for t, b in y.entries:
             if b & acc:
                 acc &= ~b | _mem(t, x)
         _EQ_CACHE[key] = acc
@@ -258,21 +258,19 @@ def hf_literal(obj) -> frozenset:
 _NAME_CACHE: dict[tuple[int, frozenset], BSet] = {}
 
 
-def standard_name(algebra: FiniteBooleanAlgebra, h,
-                  *, max_rank: int | None = None) -> BSet:
+def standard_name(algebra: FiniteBooleanAlgebra, h) -> BSet:
     """The standard name of a hereditarily finite set: all values are 1."""
     hf = h if isinstance(h, frozenset) else hf_literal(h)
     key = (algebra.atom_count, hf)
     hit = _NAME_CACHE.get(key)
     if hit is not None:
-        # a cached name must still respect the cap requested by this caller
-        if hit.rank > (RANK_CAP if max_rank is None else max_rank):
-            raise ResourceCapError(
-                f"rank {hit.rank} exceeds cap {RANK_CAP if max_rank is None else max_rank}")
+        # a name cached while RANK_CAP was higher must still respect it now
+        if hit.rank > RANK_CAP:
+            raise ResourceCapError(f"rank {hit.rank} exceeds cap {RANK_CAP}")
         return hit
     top = algebra.top
-    children = [standard_name(algebra, m, max_rank=max_rank) for m in hf]
-    result = bset(algebra, [(c, top) for c in children], max_rank=max_rank)
+    children = [standard_name(algebra, m) for m in hf]
+    result = bset(algebra, [(c, top) for c in children])
     _NAME_CACHE[key] = result
     return result
 
@@ -280,8 +278,7 @@ def standard_name(algebra: FiniteBooleanAlgebra, h,
 # -- mixing, ascent, descent -------------------------------------------------
 
 
-def mix(parts: Partition | Sequence[BoolElem], xs: Sequence[BSet],
-        *, max_rank: int | None = None, max_dom: int | None = None) -> BSet:
+def mix(parts: Partition | Sequence[BoolElem], xs: Sequence[BSet]) -> BSet:
     """Mixing of the family ``xs`` by the partition of unity ``parts``.
 
     The result m satisfies [[m = xs[i]]] >= parts[i] for every i.
@@ -290,7 +287,7 @@ def mix(parts: Partition | Sequence[BoolElem], xs: Sequence[BSet],
     if len(blocks) != len(xs):
         raise ValueError(f"partition has {len(blocks)} blocks but {len(xs)} sets given")
     masks = _mixing_masks(blocks, xs)
-    return _mix(blocks[0].algebra, masks, xs, max_rank, max_dom)
+    return _mix(blocks[0].algebra, masks, xs)
 
 
 def _mixing_masks(blocks: Sequence[BoolElem], xs: Iterable[BSet]) -> list[int]:
@@ -304,19 +301,18 @@ def _mixing_masks(blocks: Sequence[BoolElem], xs: Iterable[BSet]) -> list[int]:
     return [b.mask for b in blocks]
 
 
-def _mix(algebra: FiniteBooleanAlgebra, masks: Sequence[int], xs: Sequence[BSet],
-         max_rank: int | None = None, max_dom: int | None = None) -> BSet:
+def _mix(algebra: FiniteBooleanAlgebra, masks: Sequence[int], xs: Sequence[BSet]) -> BSet:
     """Mixing of ``xs`` by the partition of unity with block masks ``masks``:
     each child t of some x gets the value sup_i masks[i] ^ [[t in xs[i]]]."""
     merged: dict[int, tuple[BSet, int]] = {}
     for x in xs:
-        for t, _ in x.dom:
+        for t, _ in x.entries:
             if t.uid not in merged:
                 val = 0
                 for b, z in zip(masks, xs):
                     val |= b & _mem(t, z)
                 merged[t.uid] = (t, val)
-    return _intern(algebra, merged, max_rank, max_dom)
+    return _intern(algebra, merged)
 
 
 def ascent(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> BSet:
@@ -334,7 +330,7 @@ def stalks(x: BSet, memo: dict[int, tuple[frozenset, ...]]) -> tuple[frozenset, 
     """
     got = memo.get(x.uid)
     if got is None:
-        kids = [(stalks(t, memo), mask) for t, mask in x.support]
+        kids = [(stalks(t, memo), mask) for t, mask in x.entries if mask]
         got = tuple([frozenset([s[i] for s, mask in kids if mask >> i & 1])
                      for i in range(x.algebra.atom_count)])
         memo[x.uid] = got
@@ -377,7 +373,7 @@ def descent(x: BSet) -> list[BSet]:
     the first mixing of its class in lexicographic order of choices.
     """
     memo: dict = {}
-    return _class_mixings(x.algebra, [t for t, _ in x.dom], memo, stalks(x, memo))
+    return _class_mixings(x.algebra, x.children(), memo, stalks(x, memo))
 
 
 def atom_mixings(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> list[BSet]:
@@ -449,7 +445,7 @@ def _canonical(x: BSet, done: dict[int, BSet], memo: dict) -> BSet:
     got = done.get(x.uid)
     if got is None:
         reps: dict[tuple[frozenset, ...], BSet] = {}
-        for t, _ in x.dom:
+        for t, _ in x.entries:
             ct = _canonical(t, done, memo)
             reps.setdefault(stalks(ct, memo), ct)
         merged = {}
@@ -526,7 +522,7 @@ def _eval(f: F.Formula, env: dict[str, BSet], full: int) -> int:
         forall = isinstance(f, F.Forall)
         acc = full if forall else 0
         # a child whose value adds nothing to acc is not evaluated
-        for t, b in z.support:
+        for t, b in z.entries:
             if forall and b & acc:
                 env[f.var] = t
                 acc &= ~b | _eval(f.body, env, full)
@@ -555,9 +551,9 @@ def existential_witnesses(f: F.Exists, env: Mapping[str, BSet],
     env2 = dict(env)
     z = _resolve(f.bound, env2)
     masks: list[tuple[BSet, int]] = []
-    for t, b in z.dom:
+    for t, b in z.entries:
         env2[f.var] = t
-        masks.append((t, b.mask & _eval(f.body, env2, full)))
+        masks.append((t, b & _eval(f.body, env2, full)))
     total = 0
     for _, m in masks:
         total |= m
@@ -637,20 +633,18 @@ class TransferReport:
 
 
 def bounded_transfer_check(f: F.Formula, h_env: Mapping[str, object],
-                           algebra: FiniteBooleanAlgebra,
-                           *, max_rank: int | None = None) -> TransferReport:
+                           algebra: FiniteBooleanAlgebra) -> TransferReport:
     """Check restricted transfer for a formula over hereditarily finite sets.
 
     The formula is evaluated classically over ``h_env`` and Boolean-valued
     over the standard names of the same sets; the verdict requires the two
     to agree and the truth value to be two-valued (0 or 1).  All formulas
     expressible in the DSL are bounded, so no boundedness check is needed.
-    ``max_rank`` lifts the default rank cap for large constants (the name
-    of the natural n has rank n).
+    Every constant's standard name must stay within ``RANK_CAP`` (the name
+    of the natural n has rank n); raise the cap to check larger ones.
     """
     hf_env = {name: hf_literal(value) for name, value in h_env.items()}
-    bv_env = {name: standard_name(algebra, hf, max_rank=max_rank)
-              for name, hf in hf_env.items()}
+    bv_env = {name: standard_name(algebra, hf) for name, hf in hf_env.items()}
     classical = classical_eval(f, hf_env)
     value = eval_formula(f, bv_env, algebra)
     two_valued = value.is_zero or value.is_one

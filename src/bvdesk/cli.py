@@ -147,7 +147,10 @@ def cmd_bvu_eval(args) -> RunReport:
     env = bvu.env_from_json(env_spec, algebra)
     f = parse(args.formula)
     _check_eval_cost(f, env)
-    value = bvu.eval_formula(f, env, algebra)
+    if isinstance(f, Exists):  # the witness report evaluates the body once per candidate
+        value, contributions, attained = bvu.existential_witnesses(f, env, algebra)
+    else:
+        value = bvu.eval_formula(f, env, algebra)
     report = RunReport("bvu eval",
                        _digest({"env": env_spec, "formula": args.formula,
                                 "atoms": args.atoms}),
@@ -155,7 +158,6 @@ def cmd_bvu_eval(args) -> RunReport:
     report.add("eval", True, f"truth value {value!r}")
     report.payload["truth_value"] = value.to_json()
     if isinstance(f, Exists):
-        total, contributions, attained = bvu.existential_witnesses(f, env, algebra)
         report.payload["witnesses"] = {
             "contributions": [[repr(t), v.to_json()] for t, v in contributions],
             "attained": repr(attained) if attained is not None else None,
@@ -173,7 +175,7 @@ def _check_eval_cost(f: Formula, env: dict[str, bvu.BSet]) -> None:
         x = stack.pop()
         if x.uid not in seen:
             seen.add(x.uid)
-            widest = max(widest, len(x.dom))
+            widest = max(widest, len(x.entries))
             stack.extend(x.children())
     depth = quantifier_depth(f)
     if widest ** depth > EVAL_CAP:

@@ -29,6 +29,8 @@ from .lattice import LatticeVector
 #: Largest radicand the public constructor accepts: its squarefree split is
 #: trial division up to sqrt(d), about 10^6 steps at the cap.
 RADICAND_CAP = 10 ** 12
+#: Most surd states :func:`expand` visits before it gives up on a period.
+STATE_CAP = 10_000
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -236,13 +238,13 @@ class PeriodDetectionError(RuntimeError):
     """Raised when a surd expansion exceeds the state cap before cycling."""
 
 
-def expand(t: QuadraticSurd, max_states: int = 10_000) -> PartialQuotients:
+def expand(t: QuadraticSurd) -> PartialQuotients:
     """Continued fraction expansion of t in (0, 1).
 
     Rational t terminates by Euclid's algorithm; irrational t iterates the
     Gauss map on canonical surd states until a state repeats, which must
     happen (within a bound controlled by the discriminant data) and is
-    enforced by ``max_states``.
+    enforced by ``STATE_CAP``.
     """
     if t.compare_fraction(0) <= 0 or t.compare_fraction(1) >= 0:
         raise ValueError("expansion requires 0 < t < 1")
@@ -262,9 +264,9 @@ def expand(t: QuadraticSurd, max_states: int = 10_000) -> PartialQuotients:
         if key in seen:
             start = seen[key]
             return PartialQuotients(tuple(quotients[:start]), tuple(quotients[start:]))
-        if len(seen) >= max_states:
+        if len(seen) >= STATE_CAP:
             raise PeriodDetectionError(
-                f"no period within {max_states} surd states")
+                f"no period within {STATE_CAP} surd states")
         seen[key] = len(quotients)
         u = state.reciprocal()
         a = integer_part(u)
@@ -343,8 +345,8 @@ def mixed_expansion(parts: Partition, ts: Sequence[QuadraticSurd],
     """Expand each value to ``depth`` quotients and assemble the atom table.
 
     Expanding each piece and assembling commutes with assembling first and
-    reading the expansion off per atom; ``verify_mixed_expansion`` checks
-    this by recomputing per-atom expansions through the step vectors.
+    reading the expansion off per atom; the tests check this against fresh
+    per-atom expansions read through the step vectors.
     """
     if len(parts) != len(ts):
         raise ValueError(f"partition has {len(parts)} blocks but {len(ts)} values given")
@@ -356,24 +358,3 @@ def mixed_expansion(parts: Partition, ts: Sequence[QuadraticSurd],
         else:
             rows.append(pq.prefix(depth))
     return MixedExpansion(parts=parts, rows=tuple(rows), depth=depth)
-
-
-def verify_mixed_expansion(me: MixedExpansion, ts: Sequence[QuadraticSurd]) -> bool:
-    """Per atom, the step-vector column equals the fresh expansion of the
-    value mixed onto that atom."""
-    atom_count = me.parts.algebra.atom_count
-    vectors = [me.step_vector(n) for n in range(1, me.depth + 1)]
-    for q in range(atom_count):
-        block_index = next(i for i, b in enumerate(me.parts) if b.mask >> q & 1)
-        pq = expand(ts[block_index])
-        if pq.is_finite and len(pq.preperiod) < me.depth:
-            expected = pq.preperiod
-        else:
-            expected = pq.prefix(me.depth)
-        column = tuple(int(v.coords[q]) for v in vectors[:len(expected)])
-        if column != expected:
-            return False
-        # beyond a terminated row the sentinel 0 must appear
-        if any(int(v.coords[q]) != 0 for v in vectors[len(expected):]):
-            return False
-    return True

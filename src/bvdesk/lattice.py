@@ -404,18 +404,17 @@ def _hf_rational(c: Fraction) -> frozenset:
     return _hf_pair(_hf_int(c.numerator), bvu.hf_literal(c.denominator))
 
 
-def encode_as_bset(x: LatticeVector, *, max_rank: int | None = None) -> bvu.BSet:
+def encode_as_bset(x: LatticeVector) -> bvu.BSet:
     """Encode a vector as the mixing of standard names of its coordinates.
 
     Each atom contributes the standard name of its rational coordinate,
     mixed over the partition into atoms.  Distinct rationals get standard
     names with equality truth value 0, so [[enc(x) = enc(y)]] equals the
     atom set where the coordinates agree, matching ``truth_vec(x, y, '=')``.
-    Coordinate encodings grow in rank with numerator and denominator size;
-    pass ``max_rank`` to lift the default cap for large entries.
+    Coordinate encodings grow in rank with numerator and denominator size,
+    and ``bvu.RANK_CAP`` bounds them: raise it to encode large entries.
     """
     algebra = x.algebra
-    names = [bvu.standard_name(algebra, _hf_rational(c), max_rank=max_rank)
-             for c in x.coords]
+    names = [bvu.standard_name(algebra, _hf_rational(c)) for c in x.coords]
     atom_blocks = tuple(algebra.atom(i) for i in range(algebra.atom_count))
-    return bvu.mix(atom_blocks, names, max_rank=max_rank)
+    return bvu.mix(atom_blocks, names)

@@ -3,8 +3,9 @@
 Operators are matrices in atom coordinates (exact rationals, or Gaussian
 rationals for the complexified algebra).  On a finite atomic lattice an
 operator commutes with every band projection exactly when its matrix is
-diagonal, so band preservation is decidable by inspection; the brute-force
-commutation test is kept alongside as an independent oracle.
+diagonal, so band preservation is decidable by inspection.  The 2^n
+commutation tests (one per band projection) are the reference the tests
+check the diagonal criteria against; they live in ``tests/test_operators.py``.
 
 The classification results are computed, not assumed: the derivation
 module sets up the exact linear system imposed by the Leibniz rule on the
@@ -15,7 +16,6 @@ computation c^2 = c through its real and imaginary parts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -120,11 +120,6 @@ def is_complex_matrix(m: Matrix) -> bool:
     return any(isinstance(e, GaussianRational) for row in m for e in row)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
 def diagonal_matrix(diag: Sequence[Scalar]) -> Matrix:
     n = len(diag)
     entries: Sequence[Scalar] = diag
@@ -143,18 +138,6 @@ def apply(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
                      start=row[0] * 0) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           start=a[i][0] * 0) for j in range(n))
-                 for i in range(n))
-
-
-def projection_matrix(support: BoolElem, n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j and support.mask >> i & 1 else 0)
-                       for j in range(n)) for i in range(n))
-
-
 def _is_zero(x: Scalar) -> bool:
     return x.is_zero if isinstance(x, GaussianRational) else x == 0
 
@@ -163,20 +146,6 @@ def is_band_preserving(m: Matrix) -> bool:
     """Commutes with every band projection, i.e. the matrix is diagonal."""
     return all(_is_zero(m[i][j]) for i in range(len(m)) for j in range(len(m))
                if i != j)
-
-
-def is_band_preserving_bruteforce(m: Matrix) -> bool:
-    """Independent oracle: test commutation with all 2^n projections.
-
-    Exponential in the atom count; intended for cross-checks at small n.
-    """
-    n = len(m)
-    algebra = FiniteBooleanAlgebra(n)
-    for mask in range(algebra.full_mask + 1):
-        p = projection_matrix(algebra.from_mask(mask), n)
-        if mat_mul(p, m) != mat_mul(m, p):
-            return False
-    return True
 
 
 def multiplier_of(m: Matrix) -> LatticeVector:
@@ -253,17 +222,6 @@ def derivation_space(n: int) -> DerivationSpace:
     mats = tuple(tuple(tuple(vec[unknown(k, i)] for i in range(n))
                        for k in range(n)) for vec in kernel)
     return DerivationSpace(atom_count=n, basis=mats)
-
-
-def satisfies_leibniz(m: Matrix, x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
-    """Check D(xy) = D(x)y + xD(y) for one concrete pair (test oracle)."""
-    xy = tuple(a * b for a, b in zip(x, y))
-    lhs = apply(m, xy)
-    dx = apply(m, tuple(x))
-    dy = apply(m, tuple(y))
-    rhs = tuple(a * b for a, b in zip(dx, y))
-    rhs = tuple(r + a * b for r, a, b in zip(rhs, x, dy))
-    return lhs == rhs
 
 
 # -- endomorphisms and automorphisms -------------------------------------------
@@ -381,26 +339,6 @@ def is_separately_band_preserving(t: Tensor) -> bool:
     return all(t[i][j][k] == 0
                for i in range(n) for j in range(n) for k in range(n)
                if not (i == j == k))
-
-
-def is_separately_band_preserving_bruteforce(t: Tensor) -> bool:
-    """Oracle: pi b(x,y) = b(pi x, y) = b(x, pi y) over all projections and
-    basis pairs.  Exponential in the atom count; for small n only."""
-    n = len(t)
-    algebra = FiniteBooleanAlgebra(n)
-    basis = [tuple(Fraction(1 if q == i else 0) for q in range(n)) for i in range(n)]
-    for mask in range(algebra.full_mask + 1):
-        keep = [bool(mask >> q & 1) for q in range(n)]
-
-        def project(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-            return tuple(v if keep[q] else Fraction(0) for q, v in enumerate(vec))
-
-        for x, y in itertools.product(basis, repeat=2):
-            full = bilinear_apply(t, x, y)
-            if (project(full) != bilinear_apply(t, project(x), y)
-                    or project(full) != bilinear_apply(t, x, project(y))):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -187,19 +187,17 @@ class ConstancyReport:
         }
 
 
-def constancy_refinement_check(g: LatticeVector, n_bound: int | None = None
-                               ) -> ConstancyReport:
+def constancy_refinement_check(g: LatticeVector) -> ConstancyReport:
     """Check the constancy partition against the level partitions.
 
-    The bound defaults to twice the common denominator of g's values; the
-    finite list of tested indices stands in for the full countable family.
+    The levels n = 1 .. 2 * lcm of g's denominators are tested; that finite
+    list of indices stands in for the full countable family.
     """
-    if n_bound is None:
-        n_bound = 2 * math.lcm(*(c.denominator for c in g.coords))
+    last_level = 2 * math.lcm(*(c.denominator for c in g.coords))
     part = constancy_partition(g)
     ok = all(is_refined_from(part, level_partitions(g, n))
-             for n in range(1, n_bound + 1))
-    return ConstancyReport(ok=ok, tested_up_to=n_bound, partition=part)
+             for n in range(1, last_level + 1))
+    return ConstancyReport(ok=ok, tested_up_to=last_level, partition=part)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdesk.battery import BATTERY, run_battery, von_neumann_natural_formula
-from bvdesk.boolalg import FiniteBooleanAlgebra, Partition
+from bvdesk.battery import BATTERY, run_battery
+from bvdesk.boolalg import BoolElem, FiniteBooleanAlgebra, Partition
 from bvdesk import bvu
 from bvdesk.bvu import (DOM_CAP, EscherReport, EvalError, ResourceCapError,
                         ascent, atom_mixings, bounded_transfer_check, bset,
@@ -753,6 +753,14 @@ class TestEval:
         assert eval_formula(g, self.ENV).is_zero  # true iff false
 
 
+def reference_natural_formula(name):
+    """A bounded formula true of exactly the von Neumann naturals: transitivity
+    plus membership trichotomy characterize the finite ordinals among
+    hereditarily finite sets."""
+    return (f"(forall a in {name} : forall b in a : b in {name})"
+            f" & (forall a in {name} : forall b in {name} : (a in b | b in a | a = b))")
+
+
 class TestTransfer:
     def test_battery_passes_and_is_large_enough(self):
         assert len(BATTERY) >= 20
@@ -777,10 +785,11 @@ class TestTransfer:
             report = bounded_transfer_check(f, env, A4)
             assert report.two_valued
 
-    def test_von_neumann_naturals_below_eight(self):
-        f = parse(von_neumann_natural_formula("x"))
+    def test_von_neumann_naturals_below_eight(self, monkeypatch):
+        monkeypatch.setattr(bvu, "RANK_CAP", 8)
+        f = parse(reference_natural_formula("x"))
         for n in range(8):
-            report = bounded_transfer_check(f, {"x": n}, A2, max_rank=8)
+            report = bounded_transfer_check(f, {"x": n}, A2)
             assert report.ok and report.classical
         for bad in ([1], [[1]], [0, [1]]):
             report = bounded_transfer_check(f, {"x": bad}, A2)
@@ -788,13 +797,17 @@ class TestTransfer:
 
 
 class TestResourceCaps:
-    def test_rank_cap(self):
+    def test_rank_cap(self, monkeypatch):
         with pytest.raises(ResourceCapError):
             standard_name(A2, 7)
-        seven = standard_name(A2, 7, max_rank=8)
+        with monkeypatch.context() as patch:
+            patch.setattr(bvu, "RANK_CAP", 8)
+            seven = standard_name(A2, 7)
         assert seven.rank == 7
         with pytest.raises(ResourceCapError):  # interned already, still over the cap
             bset(A2, [(c, A2.top) for c in seven.children()])
+        with pytest.raises(ResourceCapError):  # named already, still over the cap
+            standard_name(A2, 7)
 
     def test_dom_cap(self):
         algebra = FiniteBooleanAlgebra(6)
@@ -808,7 +821,77 @@ class TestResourceCaps:
 def test_bset_joins_the_values_of_a_repeated_child():
     x = bset(A4, [(name(0), A4.element([0])), (name(0), A4.element([2]))])
     assert x.dom == ((name(0), A4.element([0, 2])),)
-    assert x.support == ((name(0), 0b101),)
+    assert x.entries == ((name(0), 0b101),)
+
+
+def random_bset_with_zeros(rng, algebra, rank):
+    """A random B-valued set of rank <= ``rank`` whose children are
+    zero-valued about a third of the time."""
+    if rank == 0:
+        return bset(algebra, ())
+    pairs = [(random_bset_with_zeros(rng, algebra, rng.randint(0, rank - 1)),
+              algebra.from_mask(0 if rng.random() < 1 / 3
+                                else rng.randrange(algebra.full_mask + 1)))
+             for _ in range(rng.randint(1, 3))]
+    return bset(algebra, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6))
+def test_zero_valued_children_stay_in_the_domain(seed, atoms):
+    """A set stores its domain once, as (child, mask) entries; a zero-valued
+    child stays an entry, and every public view of the domain keeps it."""
+    rng = random.Random(seed)
+    algebra = FiniteBooleanAlgebra(atoms)
+    empty = bset(algebra, ())
+    with_zero = bset(algebra, [(empty, algebra.bottom), (standard_name(algebra, 1), algebra.top)])
+    assert (empty, 0) in with_zero.entries
+    sets = [with_zero] + [random_bset_with_zeros(rng, algebra, 3) for _ in range(3)]
+    body = F.Eq(F.Var("w"), F.Var("w"))
+    for x in sets:
+        assert x.dom == tuple((t, BoolElem(algebra, m)) for t, m in x.entries)
+        assert x.children() == tuple(t for t, _ in x.entries)
+        assert x.to_json() == {"dom": [[t.to_json(), BoolElem(algebra, m).to_json()]
+                                       for t, m in x.entries]}
+        assert bset_from_json(x.to_json(), algebra) is x
+        _, contributions, _ = existential_witnesses(F.Exists("w", F.Var("z"), body), {"z": x})
+        assert contributions == list(x.dom)
+        for y in sets:
+            assert truth_mem(x, y) == reference_truth_mem(x, y)
+            assert truth_eq(x, y) == reference_truth_eq(x, y)
+
+
+def test_descent_takes_zero_valued_children_as_candidates():
+    """A class is represented by the first mixing of its choices over the
+    whole domain, zero-valued children included.  Both children have the
+    stalk {} at atom 0, and the first in dom order is the zero-valued one."""
+    pair = [bset(A2, [(standard_name(A2, n), A2.element([1]))]) for n in (1, 2)]
+    first, second = sorted(pair, key=lambda t: t.uid)
+    x = bset(A2, [(first, A2.bottom), (second, A2.top)])
+    atom_blocks = [A2.atom(0), A2.atom(1)]
+    assert_same_objects(descent(x), [mix(atom_blocks, [first, second])])
+    assert_same_objects(descent(x), reference_descent(x))
+    assert descent(x)[0] is not second
+
+
+def test_building_sets_makes_no_boolelem(monkeypatch):
+    """Interning, naming, mixing, descent and canonical forms work on masks:
+    once the inputs exist, they build no BoolElem."""
+    algebra = FiniteBooleanAlgebra(3)
+    low, high = algebra.element([0]), algebra.element([1, 2])
+    blocks = [low, high]
+    monkeypatch.setattr(bvu, "_INTERN", {})  # so that every set below is built anew
+    monkeypatch.setattr(bvu, "_NAME_CACHE", {})
+
+    def no_boolelem(*args):
+        raise AssertionError("a BoolElem was built")
+
+    monkeypatch.setattr(bvu, "BoolElem", no_boolelem)
+    one = standard_name(algebra, 1)
+    x = bset(algebra, [(one, low), (standard_name(algebra, 0), algebra.bottom)])
+    m = mix(blocks, [x, standard_name(algebra, 2)])
+    assert len(descent(m)) == 4  # m = {one@1, empty@high}: 1 * 2 * 2 atom choices
+    assert canonicalize(x).entries == ((one, low.mask),)
 
 
 def test_bset_json_round_trip():

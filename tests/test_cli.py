@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -17,6 +19,14 @@ from bvdesk.battery import BASE_ENV, BATTERY
 from bvdesk import cli
 from bvdesk.cli import (EVAL_CAP, MAX_CONVERGENT_INDEX, MAX_MATRIX_ORDER, MAX_TRIALS, PI_CAP,
                         main)
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+#: Malformed inputs, each of which the golden corpus also replays.
+MALFORMED = make_golden.MALFORMED
+_diagonal = make_golden._diagonal
 
 
 @pytest.fixture
@@ -173,10 +183,6 @@ class TestOps:
         path.write_text(json.dumps(_diagonal(MAX_MATRIX_ORDER)))
         with pytest.raises(Started):
             main(["ops", "classify", "--matrix", str(path)])
-
-
-def _diagonal(n):
-    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
 
 
 class TestBilinear:
@@ -358,7 +364,10 @@ class TestSuite:
         report = json.loads(capsys.readouterr().out, parse_float=no_floats)
         assert code == 0
         assert len(report["criteria"]) == 13
-        assert all(isinstance(c["elapsed_ns"], int) for c in report["criteria"])
+        assert all(isinstance(c.pop("elapsed_ns"), int) for c in report["criteria"])
+        # the rest of the report is pinned byte for byte, as the golden corpus pins the others
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "f7ccd931ed9de1b4b6d653e14bbef31fde5d23d6aa77ca36092f6856143093ce"
 
 
 class TestAlgebraCheck:
@@ -397,54 +406,6 @@ class TestTrials:
 
 
 # -- the input boundary -------------------------------------------------------------
-
-#: Malformed inputs that once ended in a traceback or were silently accepted:
-#: (argv with FILE standing for the JSON file, the JSON written there).
-MALFORMED = [
-    (["refine", "--covers", "FILE"], {"atoms": "3", "covers": []}),
-    (["refine", "--covers", "FILE"], {"atoms": 2.5, "covers": []}),
-    (["refine", "--covers", "FILE"], {"atoms": 3, "covers": 5}),
-    (["refine", "--covers", "FILE"], {"atoms": 3, "covers": [[{"atoms": ["0"]}]]}),
-    (["refine", "--covers", "FILE"], {"atoms": True, "covers": [[{"atoms": [0]}]]}),
-    (["refine", "--covers", "FILE"], {"atoms": 10 ** 6, "covers": [[{"atoms": [0]}]]}),
-    (["refine", "--covers", "FILE"],  # 2^23 blocks at the top level without the cap
-     {"atoms": 24, "covers": [[{"atoms": [q]}, {"atoms": [a for a in range(24) if a != q]}]
-                              for q in range(23)]}),
-    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], [1]),
-    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], {"x": {"dom": 5}}),
-    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"],
-     {"x": {"dom": [[{"hf": 0}, {"atoms": ["a"]}]]}}),
-    (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], {"x": {"hf": 40}}),
-    (["ops", "classify", "--matrix", "FILE"], [[None]]),
-    (["ops", "classify", "--matrix", "FILE"], [["1/0"]]),
-    (["bilinear", "classify", "--tensor", "FILE"], [[[True]]]),
-    (["pnfin", "pi", "--count", "3", "--horizon", "50", "--spec", "FILE"],
-     {"family": "dyadic", "params": {"base": "x"}}),
-    (["pnfin", "pi", "--count", "3", "--horizon", "50", "--spec", "FILE"],
-     {"family": "dyadic", "params": {"step": 2}}),
-    (["cf", "expand", "--value", "1/0"], None),
-    # accepted, then ran for tens of seconds or longer before being refused or done
-    (["pnfin", "pi", "--family", "dyadic", "--count", "400", "--horizon", "2500"], None),
-    (["pnfin", "pi", "--family", "dyadic", "--count", "2000", "--horizon", "500"], None),
-    (["pnfin", "pi", "--count", "2000", "--horizon", "500", "--spec", "FILE"],
-     {"family": "dyadic", "params": {"base": 1_000_000}}),
-    (["pnfin", "pi", "--count", "1000", "--horizon", "1000", "--spec", "FILE"],
-     {"family": "dyadic", "params": {"base": 10 ** 29}}),
-    (["pnfin", "pi", "--family", "tails", "--count", "100000000", "--horizon", "0"], None),
-    (["pnfin", "pi", "--family", "primes-thinned", "--count", "100000000", "--horizon", "-1"],
-     None),
-    (["cf", "expand", "--value=1e-9999999"], None),
-    (["ops", "classify", "--matrix", "FILE"], [["1e999999"]]),
-    (["lattice", "gordon", "--atoms", "16", "--trials", "100000000"], None),
-    (["algebra", "check", "--atoms", "16", "--trials", str(MAX_TRIALS + 1)], None),
-    # no order cap (n^3 products for a diagonal matrix), and --k refused only after
-    # expanding k quotients
-    (["ops", "classify", "--matrix", "FILE"], _diagonal(MAX_MATRIX_ORDER + 1)),
-    (["cf", "convergent", "--surd=-1,1,2,5", "--k", str(MAX_CONVERGENT_INDEX + 1)], None),
-    (["cf", "convergent", "--surd=-1,1,2,5", "--k", "1000000000"], None),
-    (["cf", "convergent", "--value", "16/45", "--k", "100000"], None),
-]
-
 
 def run_in_process(argv, payload=None):
     """(exit code, stdout, stderr) of ``main(argv)``, with FILE in ``argv``
@@ -622,3 +583,22 @@ def test_boundary_fuzz_formula_texts(text):
            "y": {"dom": [[{"hf": []}, {"atoms": [0]}]]}}
     assert_boundary_holds(["bvu", "eval", "--atoms", "2", "--env", "FILE", "--formula", text],
                           env)
+
+
+# -- the golden corpus --------------------------------------------------------------
+
+def test_golden_corpus_replays(tmp_path):
+    """scripts/make_golden.py, run again in a fresh interpreter, writes
+    tests/golden/requests.json to the byte: every request gives the same exit
+    code, stdout and first line of stderr.  A fresh interpreter, because a
+    report lists children in the order their sets were first built in the
+    process.  The corpus holds every MALFORMED input by construction."""
+    golden = ROOT / "tests" / "golden" / "requests.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(bvdesk.__file__).parents[1]))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_golden.py"),
+                    "--out", str(tmp_path / "replay.json")],
+                   check=True, capture_output=True, env=env, timeout=60)
+    corpus = json.loads(golden.read_text())
+    replay = json.loads((tmp_path / "replay.json").read_text())
+    assert [e["argv"] for e, r in zip(corpus["requests"], replay["requests"]) if e != r] == []
+    assert (tmp_path / "replay.json").read_bytes() == golden.read_bytes()

@@ -314,6 +314,11 @@ class TestConstancyCheck:
         assert constancy_refinement_check(AtomicLattice(3).vector([1, 2, 3])).ok
         assert constancy_refinement_check(AtomicLattice(3).vector([4, 4, 4])).ok
 
+    def test_levels_up_to_twice_the_common_denominator(self):
+        for coords, lcm in ((["1/4", "2/3", "5"], 12), ([2, 2, 5], 1), (["1/6", "1/10"], 30)):
+            g = AtomicLattice(len(coords)).vector(coords)
+            assert constancy_refinement_check(g).tested_up_to == 2 * lcm
+
     def test_partition_blocks(self):
         part = constancy_partition(AtomicLattice(3).vector([2, 2, 5]))
         a3 = FiniteBooleanAlgebra(3)
