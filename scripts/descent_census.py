@@ -8,7 +8,7 @@ n^atoms for n >= 1 (one independent choice among n names per atom, all
 distinct up to equivalence), which the table makes visible; the script
 exits 1 unless every cell equals n^atoms.
 
-Descent builds one mixing per class from the per-atom stalks, so a cell
+Descent builds one mixing per class from the per-atom stalk ids, so a cell
 costs time linear in its count n^atoms.  A cell above ``DESCENT_CAP``
 (4096) classes is refused with ``ResourceCapError`` before any work.
 """

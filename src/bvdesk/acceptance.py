@@ -19,7 +19,7 @@ from . import bvu, contfrac, operators as ops, pnfin, refinement
 from .battery import run_battery
 from .boolalg import (BoolElem, FiniteBooleanAlgebra, Partition,
                       sigma_criteria_check)
-from .bvu import BSet, bset, mix, standard_name, stalks, truth_eq, truth_mem
+from .bvu import BSet, bset, mix, standard_name, truth_eq, truth_mem
 from .lattice import LatticeVector, gordon_check
 from .operators import GaussianRational
 
@@ -103,9 +103,38 @@ def random_cover(rng: random.Random, algebra: FiniteBooleanAlgebra) -> list[Bool
     return members
 
 
-def _equal_stalks(sx: tuple[frozenset, ...], sy: tuple[frozenset, ...]) -> int:
-    """The mask of the atoms i at which the stalks x_i and y_i are equal."""
-    return sum(1 << i for i, (a, b) in enumerate(zip(sx, sy)) if a == b)
+def _defining_eq(x: BSet, y: BSet) -> int:
+    """[[x = y]] as a mask by the two defining formulas
+
+        [[s in t]] = sup_{u in dom t} ( t(u) ^ [[u = s]] )
+        [[s = t]]  = inf_{u in dom s} ( s(u) => [[u in t]] )
+                   ^ inf_{u in dom t} ( t(u) => [[u in s]] ),
+
+    with a memo of this call only: the reference for criterion 1, apart
+    from the stalk signatures that :func:`truth_eq` reads."""
+    full = x.algebra.full_mask
+    mems: dict[tuple[BSet, BSet], int] = {}
+    eqs: dict[tuple[BSet, BSet], int] = {}
+
+    def mem(s: BSet, t: BSet) -> int:
+        if (s, t) not in mems:
+            acc = 0
+            for u, b in t.entries:
+                acc |= b & eq(u, s)
+            mems[s, t] = acc
+        return mems[s, t]
+
+    def eq(s: BSet, t: BSet) -> int:
+        if (s, t) not in eqs:
+            acc = full
+            for u, b in s.entries:
+                acc &= ~b | mem(u, t)
+            for u, b in t.entries:
+                acc &= ~b | mem(u, s)
+            eqs[s, t] = acc
+        return eqs[s, t]
+
+    return eq(x, y)
 
 
 # -- criteria ------------------------------------------------------------------
@@ -128,11 +157,10 @@ def criterion_1_truth_value_laws(seed: int) -> CriterionResult:
         exy, eyx = truth_eq(x, y), truth_eq(y, x)
         if exy != eyx:
             return _fail(1, "truth-value laws", "symmetry failed", start)
-        # the memo holds one [[=]] entry per unordered pair, so symmetry holds
-        # by itself; the stalk relation is independent of that memo
-        memo: dict = {}
-        if not exy.mask == eyx.mask == _equal_stalks(stalks(x, memo), stalks(y, memo)):
-            return _fail(1, "truth-value laws", "equality disagrees with the stalks", start)
+        # the kernel reads stalk signatures, so symmetry holds by itself; the
+        # defining recursion shares nothing with them
+        if not exy.mask == eyx.mask == _defining_eq(x, y):
+            return _fail(1, "truth-value laws", "equality disagrees with the recursion", start)
         eyz, exz = truth_eq(y, z), truth_eq(x, z)
         if not exy.meet(eyz).leq(exz):
             return _fail(1, "truth-value laws", "transitivity failed", start)

@@ -2,7 +2,7 @@
 
 A B-valued set is a finite map from B-valued sets of strictly smaller rank
 to elements of a fixed finite Boolean algebra B.  Truth values of membership
-and equality are computed by the usual mutual recursion:
+and equality are defined by the usual mutual recursion:
 
     [[x in y]] = sup_{t in dom(y)} ( y(t) ^ [[t = x]] )
     [[x = y]]  = inf_{t in dom(x)} ( x(t) => [[t in y]] )
@@ -21,17 +21,24 @@ finite sets with the Boolean truth value over standard names.
 Because B = P(n), a B-valued set x also splits into n hereditarily finite
 stalks x_i = { t_i : t in dom x, i in x(t) } (V^(B1 x B2) is V^(B1) x
 V^(B2)): atom i lies in [[x in y]] iff x_i in y_i and in [[x = y]] iff
-x_i = y_i.  Descent and the atom mixings enumerate their classes through
-the stalks, one mixing per class; canonical forms and the arrow checks
-compare classes by their stalks, and :func:`eval_atomwise` evaluates a
-formula classically on the stalks, atom by atom.
+x_i = y_i.  The truth kernel takes this at its word.  When a set is
+interned it gets its stalk signature: per atom i, the id of x_i in one
+table of hereditarily finite sets, each stored as the frozenset of its
+members' ids.  [[x = y]] and [[x in y]] then read the two signatures and
+never recurse.  Descent and the atom mixings enumerate their classes
+through the signatures, one mixing per class; canonical forms and the
+arrow checks compare classes by their signatures.  :func:`stalks` computes
+the same stalks as nested frozensets, apart from the id table, and
+:func:`eval_atomwise` evaluates a formula classically on them, atom by
+atom, as the independent check.
 
 Truth values are computed on the algebra's int masks (meet ``&``, join
 ``|``, implication ``~a | b``); a :class:`BoolElem` is built only where a
 public function returns one.
 
 B-valued sets are hash-consed: structurally identical sets are the same
-object, which makes the truth-value memo tables cheap and reliable.
+object, so a set's signature is computed once and memo tables keyed by uid
+are reliable.
 """
 
 from __future__ import annotations
@@ -69,14 +76,21 @@ class BSet:
 
     The domain is stored once, as ``entries``: the (child, mask) pairs in
     child-uid order, zero-valued children included.  ``dom`` builds the same
-    pairs with :class:`BoolElem` values on request.
+    pairs with :class:`BoolElem` values on request.  ``sig`` is the stalk
+    signature, the id of the stalk x_i at each atom i; ``classes`` maps each
+    of its ids to the mask of the atoms i where x_i has that id, and
+    ``holds`` maps an id to the mask of the atoms i where it is a member of
+    x_i.
     """
 
-    __slots__ = ("algebra", "entries", "rank", "uid")
+    __slots__ = ("algebra", "classes", "entries", "holds", "rank", "sig", "uid")
 
     algebra: FiniteBooleanAlgebra
+    classes: dict[int, int]
     entries: tuple[tuple["BSet", int], ...]
+    holds: dict[int, int]
     rank: int
+    sig: tuple[int, ...]
     uid: int
 
     @property
@@ -98,6 +112,10 @@ class BSet:
 
 _INTERN: dict[tuple, BSet] = {}
 _UIDS = itertools.count()
+# The stalk table: a hereditarily finite set, as the frozenset of its
+# members' ids, maps to its id.  Live sets hold these ids, so the table is
+# never cleared; each new set adds at most one id per atom.
+_STALK_IDS: dict[frozenset, int] = {}
 
 
 def bset(algebra: FiniteBooleanAlgebra,
@@ -131,10 +149,27 @@ def _intern(algebra: FiniteBooleanAlgebra, merged: dict[int, tuple[BSet, int]]) 
     if rank > RANK_CAP:
         raise ResourceCapError(f"rank {rank} exceeds cap {RANK_CAP}")
     if obj is None:
+        # a child t with value m puts its stalk id k into x_i at the atoms
+        # of m where t's stalk is k
+        holds: dict[int, int] = {}
+        for t, m in entries:
+            for k, tm in t.classes.items():
+                if m & tm:
+                    holds[k] = holds.get(k, 0) | m & tm
+        sig = []
+        classes: dict[int, int] = {}
+        for i in range(algebra.atom_count):
+            stalk = frozenset([k for k, hm in holds.items() if hm >> i & 1])
+            k = _STALK_IDS.setdefault(stalk, len(_STALK_IDS))
+            sig.append(k)
+            classes[k] = classes.get(k, 0) | 1 << i
         obj = object.__new__(BSet)
         object.__setattr__(obj, "algebra", algebra)
+        object.__setattr__(obj, "classes", classes)
         object.__setattr__(obj, "entries", tuple(entries))
+        object.__setattr__(obj, "holds", holds)
         object.__setattr__(obj, "rank", rank)
+        object.__setattr__(obj, "sig", tuple(sig))
         object.__setattr__(obj, "uid", next(_UIDS))
         _INTERN[key] = obj
     return obj
@@ -143,7 +178,7 @@ def _intern(algebra: FiniteBooleanAlgebra, merged: dict[int, tuple[BSet, int]]) 
 # -- truth values ------------------------------------------------------------
 
 # Masks of [[x in y]] keyed by (x.uid, y.uid) and of [[x = y]] keyed by the
-# pair in uid order (smaller first), for the recursion.
+# pair in uid order (smaller first), one entry per pair queried.
 _MEM_CACHE: dict[tuple[int, int], int] = {}
 _EQ_CACHE: dict[tuple[int, int], int] = {}
 # The elements truth_mem and truth_eq have returned, by the same keys, so that
@@ -177,10 +212,10 @@ def truth_mem(x: BSet, y: BSet) -> BoolElem:
 def truth_eq(x: BSet, y: BSet) -> BoolElem:
     """The Boolean truth value [[x = y]].
 
-    Computed structurally even for x is y (reflexivity is a theorem of the
-    recursion, not a special case; the cache keeps the cost negligible).
-    The mask is memoized once per unordered pair, since [[x = y]] = [[y = x]];
-    a first query of (x, y) takes the element already returned for (y, x).
+    Computed from the signatures even for x is y (reflexivity is a theorem,
+    not a special case).  The mask is memoized once per unordered pair,
+    since [[x = y]] = [[y = x]]; a first query of (x, y) takes the element
+    already returned for (y, x).
     """
     key = (x.uid, y.uid)
     got = _EQ_ANSWERS.get(key)
@@ -194,34 +229,31 @@ def truth_eq(x: BSet, y: BSet) -> BoolElem:
 
 
 def _mem(x: BSet, y: BSet) -> int:
-    """[[x in y]] = sup_t y(t) ^ [[t = x]] as a mask; x, y share an algebra."""
+    """[[x in y]] as a mask: the atoms i where x_i is a member of y_i, read
+    off the signatures one class of x at a time; x, y share an algebra."""
     key = (x.uid, y.uid)
     acc = _MEM_CACHE.get(key)
     if acc is None:
         acc = 0
-        for t, b in y.entries:
-            if b & ~acc:
-                acc |= b & _eq(t, x)
+        holds = y.holds
+        for k, mx in x.classes.items():
+            acc |= mx & holds.get(k, 0)
         _MEM_CACHE[key] = acc
     return acc
 
 
 def _eq(x: BSet, y: BSet) -> int:
-    """[[x = y]] = inf_t (x(t) => [[t in y]]) ^ inf_t (y(t) => [[t in x]])
-    as a mask; x, y share an algebra.  Swapping x and y swaps the two
-    infima, so the pair is put in uid order first."""
+    """[[x = y]] as a mask: the atoms i where x_i and y_i have the same id;
+    x, y share an algebra.  The pair is memoized in uid order."""
     if x.uid > y.uid:
         x, y = y, x
     key = (x.uid, y.uid)
     acc = _EQ_CACHE.get(key)
     if acc is None:
-        acc = x.algebra.full_mask
-        for t, b in x.entries:
-            if b & acc:
-                acc &= ~b | _mem(t, y)
-        for t, b in y.entries:
-            if b & acc:
-                acc &= ~b | _mem(t, x)
+        acc = 0
+        ys = y.classes
+        for k, mx in x.classes.items():
+            acc |= mx & ys.get(k, 0)
         _EQ_CACHE[key] = acc
     return acc
 
@@ -325,6 +357,8 @@ def stalks(x: BSet, memo: dict[int, tuple[frozenset, ...]]) -> tuple[frozenset, 
     """The per-atom stalks x_i = { t_i : t in dom x, i in x(t) } of ``x``.
 
     Atom i lies in [[x = y]] iff x_i = y_i and in [[x in y]] iff x_i in y_i.
+    These are the stalks that ``x.sig`` names by id, built here as nested
+    frozensets without the id table, as the oracle for the signatures.
     ``memo`` maps uid to stalks; it belongs to the caller, who may share it
     between calls.
     """
@@ -338,24 +372,23 @@ def stalks(x: BSet, memo: dict[int, tuple[frozenset, ...]]) -> tuple[frozenset, 
 
 
 def _class_mixings(algebra: FiniteBooleanAlgebra, candidates: Sequence[BSet],
-                   memo: dict, allowed: tuple[frozenset, ...] | None = None
-                   ) -> list[BSet]:
+                   allowed: dict[int, int] | None = None) -> list[BSet]:
     """One atom mixing per equivalence class of mixings of ``candidates``.
 
     The mixing choosing c_i at atom i has stalk (c_i)_i at i, so its class
-    is fixed by one stalk per atom.  Per atom, keep the first candidate of
-    each distinct stalk (in ``allowed[i]`` when given); the product of these
-    lists is the lexicographically first choice of every class, in order.
+    is fixed by one stalk id per atom.  Per atom i, keep the first candidate
+    of each distinct id (held at i by ``allowed``, a set's ``holds``, when
+    given); the product of these lists is the lexicographically first
+    choice of every class, in order.
     """
     atom_masks = _mixing_masks([algebra.atom(i) for i in range(algebra.atom_count)],
                                candidates)
     per_atom = []
     for i in range(algebra.atom_count):
-        first: dict[frozenset, BSet] = {}
+        first: dict[int, BSet] = {}
         for t in candidates:
-            s = stalks(t, memo)[i]
-            if allowed is None or s in allowed[i]:
-                first.setdefault(s, t)
+            if allowed is None or allowed.get(t.sig[i], 0) >> i & 1:
+                first.setdefault(t.sig[i], t)
         per_atom.append(tuple(first.values()))
     count = math.prod(len(c) for c in per_atom)
     if count > DESCENT_CAP:
@@ -372,13 +405,12 @@ def descent(x: BSet) -> list[BSet]:
     Returns one representative per equivalence class y with [[y in x]] = 1,
     the first mixing of its class in lexicographic order of choices.
     """
-    memo: dict = {}
-    return _class_mixings(x.algebra, x.children(), memo, stalks(x, memo))
+    return _class_mixings(x.algebra, x.children(), x.holds)
 
 
 def atom_mixings(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> list[BSet]:
     """All mixings of ``xs`` over the atom partition, up to equivalence."""
-    return _class_mixings(algebra, xs, {})
+    return _class_mixings(algebra, xs)
 
 
 @dataclass(frozen=True)
@@ -408,19 +440,17 @@ def escher_check(algebra: FiniteBooleanAlgebra, xs: Sequence[BSet]) -> EscherRep
 
     The first direction compares descent(ascent(xs)) with the atom-indexed
     mixings of xs, as sets modulo truth-value equivalence, that is as sets
-    of stalk tuples.  The second rebuilds y := ascent(xs) from its descent
-    and checks [[y' = y]] = 1, that is equal stalks.
+    of signatures.  The second rebuilds y := ascent(xs) from its descent
+    and checks [[y' = y]] = 1, that is equal signatures.
     """
     y = ascent(algebra, xs)
     down = descent(y)
     expected = atom_mixings(algebra, xs)
-    memo: dict = {}
     matches = (len(down) == len(expected)
-               and {stalks(d, memo) for d in down} == {stalks(e, memo) for e in expected})
-    y_again = ascent(algebra, down)
+               and {d.sig for d in down} == {e.sig for e in expected})
     return EscherReport(
         up_down_ok=matches,
-        down_up_ok=stalks(y_again, memo) == stalks(y, memo),
+        down_up_ok=ascent(algebra, down).sig == y.sig,
         up_down_classes=len(down),
         expected_classes=len(expected),
     )
@@ -430,24 +460,28 @@ def canonicalize(x: BSet) -> BSet:
     """Canonical representative of the equivalence class of ``x``.
 
     Children are canonicalized recursively, merged when truth-equivalent
-    (equal stalks; the first in dom order represents its class), revalued
-    by their membership truth [[t in x]], and zero-valued entries are
-    dropped.  Satisfies [[canonicalize(x) = x]] = 1.
+    (equal signatures; the first in dom order represents its class),
+    revalued by their membership truth [[t in x]], and zero-valued entries
+    are dropped.  Satisfies [[canonicalize(x) = x]] = 1.
 
     Canonical forms are memoized by uid in a table that
-    :func:`clear_truth_caches` clears; a repeated call is one lookup.
+    :func:`clear_truth_caches` clears; a repeated call is one lookup.  A set
+    above ``RANK_CAP``, built while the cap was higher, is refused whether
+    or not its form is cached, so the answer does not depend on history.
     """
+    if x.rank > RANK_CAP:
+        raise ResourceCapError(f"rank {x.rank} exceeds cap {RANK_CAP}")
     got = _CANON.get(x.uid)
-    return got if got is not None else _canonical(x, _CANON, {})
+    return got if got is not None else _canonical(x, _CANON)
 
 
-def _canonical(x: BSet, done: dict[int, BSet], memo: dict) -> BSet:
+def _canonical(x: BSet, done: dict[int, BSet]) -> BSet:
     got = done.get(x.uid)
     if got is None:
-        reps: dict[tuple[frozenset, ...], BSet] = {}
+        reps: dict[tuple[int, ...], BSet] = {}
         for t, _ in x.entries:
-            ct = _canonical(t, done, memo)
-            reps.setdefault(stalks(ct, memo), ct)
+            ct = _canonical(t, done)
+            reps.setdefault(ct.sig, ct)
         merged = {}
         for ct in reps.values():
             val = _mem(ct, x)

@@ -511,13 +511,23 @@ class TestMaskCore:
         assert eval_formula(f, env).is_one
         assert eval_atomwise(f, env).is_one
 
-    def test_escher_detects_a_wrong_descent(self, monkeypatch):
+    @staticmethod
+    def _check_wrong_descent(monkeypatch, wrong):
         xs = [name(0, A2), name(1, A2)]
         right = bvu.descent
-        monkeypatch.setattr(bvu, "descent", lambda y: right(y)[:-1] + [name(3, A2)])
+        monkeypatch.setattr(bvu, "descent", lambda y: right(y)[:-1] + [wrong()])
         report = escher_check(A2, xs)
         assert report.up_down_classes == report.expected_classes == 4
         assert not report.up_down_ok and not report.down_up_ok
+
+    def test_escher_detects_a_wrong_descent(self, monkeypatch):
+        self._check_wrong_descent(monkeypatch, lambda: name(3, A2))
+
+    def test_escher_detects_a_descent_wrong_at_one_atom(self, monkeypatch):
+        # differs from the last class at atom 1 only
+        self._check_wrong_descent(
+            monkeypatch,
+            lambda: mix([A2.atom(0), A2.atom(1)], [name(1, A2), name(3, A2)]))
 
     def test_cross_algebra_calls_raise(self):
         x2, x3 = standard_name(A2, 1), standard_name(FiniteBooleanAlgebra(3), 1)
@@ -593,11 +603,44 @@ class TestMaskCore:
         finally:
             bvu._eq, bvu._mem = real
 
-    def test_memo_tables_hold_masks(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_signatures_match_the_oracles_across_a_clear(self, seed, atoms):
+        """The signature kernel against the reference recursion and the
+        reference_* oracles, over sets with zero-valued children and mixed
+        ranks built before and after clear_truth_caches."""
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+
+        def family():
+            return [random_bset_with_zeros(rng, algebra, rng.randint(0, 3)) for _ in range(3)]
+
+        sets = family()
         bvu.clear_truth_caches()
-        assert truth_eq(name(2), name(3)).is_zero
-        assert bvu._EQ_CACHE and bvu._MEM_CACHE
-        assert all(type(v) is int for v in (*bvu._EQ_CACHE.values(), *bvu._MEM_CACHE.values()))
+        sets += family()
+        for x, y in itertools.product(sets, repeat=2):
+            assert truth_eq(x, y) == reference_truth_eq(x, y)
+            assert truth_mem(x, y) == reference_truth_mem(x, y)
+        for x in sets:
+            assert canonicalize(x) is reference_canonicalize(x)
+            if len(x.entries) ** atoms <= 64:  # the oracle mixes every choice
+                assert_same_objects(descent(x), reference_descent(x))
+        xs = sets[:max(k for k in (1, 2, 3) if k ** atoms <= DOM_CAP)]
+        assert escher_check(algebra, xs) == reference_escher(algebra, xs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_shared_stalk_ids_are_equal_stalks(self, seed, atoms):
+        """Two sets share a stalk id, at the same atom or at two atoms,
+        exactly when their frozenset stalks there are equal."""
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        sets = [random_bset_with_zeros(rng, algebra, rng.randint(0, 3)) for _ in range(5)]
+        memo = {}
+        for x, y in itertools.product(sets, repeat=2):
+            sx, sy = stalks(x, memo), stalks(y, memo)
+            for i, j in itertools.product(range(atoms), repeat=2):
+                assert (x.sig[i] == y.sig[j]) == (sx[i] == sy[j])
 
 
 class TestCanonicalize:
@@ -803,11 +846,17 @@ class TestResourceCaps:
         with monkeypatch.context() as patch:
             patch.setattr(bvu, "RANK_CAP", 8)
             seven = standard_name(A2, 7)
+            assert canonicalize(seven) is seven
+            dropped = bset(A2, [(seven, A2.bottom)])  # rank 8, canonical form {}
+            assert canonicalize(dropped) is bset(A2, ())
         assert seven.rank == 7
         with pytest.raises(ResourceCapError):  # interned already, still over the cap
             bset(A2, [(c, A2.top) for c in seven.children()])
         with pytest.raises(ResourceCapError):  # named already, still over the cap
             standard_name(A2, 7)
+        for x in (seven, dropped):  # canonicalized already, still over the cap
+            with pytest.raises(ResourceCapError):
+                canonicalize(x)
 
     def test_dom_cap(self):
         algebra = FiniteBooleanAlgebra(6)
