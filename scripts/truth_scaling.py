@@ -3,13 +3,16 @@
 A size is (atoms, sets, rank, children): ``sets`` random B-valued sets of
 rank at most ``rank`` over P(atoms), each set with at most ``children``
 children and random values, zero included.  For each size and seed a fresh
-interpreter builds the sets (cold: nothing is interned yet) and then asks
-``truth_eq`` and ``truth_mem`` of every ordered pair.  Every answer is
-cross-checked against the frozenset stalks of ``bvu.stalks``: atom i lies
-in [[x = y]] iff x_i = y_i and in [[x in y]] iff x_i in y_i.
+interpreter builds the sets (cold: nothing is interned yet), asks
+``truth_eq`` and ``truth_mem`` of every ordered pair, and then asks every
+pair again (warm).  Every answer is cross-checked against the frozenset
+stalks of ``bvu.stalks``: atom i lies in [[x = y]] iff x_i = y_i and in
+[[x in y]] iff x_i in y_i.  Every warm answer must be the very object the
+cold query returned.
 
-Prints, per size, the median over the seeds of the build time and of the
-all-pairs truth time, and exits 1 on any disagreement.  Stdlib only:
+Prints, per size, the median over the seeds of the build time, the cold
+all-pairs truth time and the warm re-query time, and exits 1 on any
+disagreement or any warm answer that is a new object.  Stdlib only:
 
     PYTHONPATH=src python scripts/truth_scaling.py            # all four sizes
     PYTHONPATH=src python scripts/truth_scaling.py --small    # the two small ones
@@ -41,8 +44,9 @@ def random_spec(rng: random.Random, algebra, rank: int, children: int) -> list:
 
 
 def measure(atoms: int, count: int, rank: int, children: int, seed: int) -> dict:
-    """One cold measurement, in this interpreter: build ns, truth ns, and the
-    number of answers that disagree with the stalks."""
+    """One measurement, in this interpreter: build ns, cold and warm truth
+    ns, the number of answers that disagree with the stalks, and the number
+    of warm answers that are not the cold answer's object."""
     from bvdesk import bvu
     from bvdesk.boolalg import FiniteBooleanAlgebra
 
@@ -56,8 +60,12 @@ def measure(atoms: int, count: int, rank: int, children: int, seed: int) -> dict
     start = time.perf_counter_ns()
     sets = [build(spec) for spec in specs]
     built = time.perf_counter_ns()
-    answers = [(bvu.truth_eq(x, y).mask, bvu.truth_mem(x, y).mask) for x in sets for y in sets]
+    cold = [(bvu.truth_eq(x, y), bvu.truth_mem(x, y)) for x in sets for y in sets]
     done = time.perf_counter_ns()
+    warm = [(bvu.truth_eq(x, y), bvu.truth_mem(x, y)) for x in sets for y in sets]
+    rewarmed = time.perf_counter_ns()
+    unshared = sum(w[0] is not c[0] or w[1] is not c[1] for c, w in zip(cold, warm))
+    answers = [(eq.mask, mem.mask) for eq, mem in cold]
 
     memo: dict = {}
     stalks = [bvu.stalks(x, memo) for x in sets]
@@ -65,7 +73,8 @@ def measure(atoms: int, count: int, rank: int, children: int, seed: int) -> dict
              sum(1 << i for i in range(atoms) if sx[i] in sy[i]))
             for sx in stalks for sy in stalks]
     wrong = sum(a != b for a, b in zip(answers, want))
-    return {"build_ns": built - start, "truth_ns": done - built, "wrong": wrong}
+    return {"build_ns": built - start, "truth_ns": done - built,
+            "warm_ns": rewarmed - done, "wrong": wrong, "unshared": unshared}
 
 
 def run(sizes: list[tuple[int, int, int, int]]) -> list[dict]:
@@ -80,7 +89,9 @@ def run(sizes: list[tuple[int, int, int, int]]) -> list[dict]:
                      "children": size[3], "seeds": len(SEEDS),
                      "build_ns_median": int(statistics.median(r["build_ns"] for r in runs)),
                      "truth_ns_median": int(statistics.median(r["truth_ns"] for r in runs)),
-                     "wrong": sum(r["wrong"] for r in runs)})
+                     "warm_ns_median": int(statistics.median(r["warm_ns"] for r in runs)),
+                     "wrong": sum(r["wrong"] for r in runs),
+                     "unshared": sum(r["unshared"] for r in runs)})
     return rows
 
 
@@ -97,15 +108,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps({"python": sys.version.split()[0], "rows": rows}))
     else:
-        print("atoms  sets  rank  children   build ms   truth ms   wrong")
+        print("atoms  sets  rank  children   build ms   truth ms    warm ms"
+              "   wrong  unshared")
         for r in rows:
             print(f"{r['atoms']:5d} {r['sets']:5d} {r['rank']:5d} {r['children']:9d}"
                   f" {r['build_ns_median'] / 1e6:10.1f} {r['truth_ns_median'] / 1e6:10.1f}"
-                  f" {r['wrong']:7d}")
+                  f" {r['warm_ns_median'] / 1e6:10.2f} {r['wrong']:7d} {r['unshared']:9d}")
     wrong = sum(r["wrong"] for r in rows)
+    unshared = sum(r["unshared"] for r in rows)
     if wrong:
         print(f"truth_scaling: {wrong} answers disagree with the stalks", file=sys.stderr)
-    return 1 if wrong else 0
+    if unshared:
+        print(f"truth_scaling: {unshared} warm answers are not the cold answer's object",
+              file=sys.stderr)
+    return 1 if wrong or unshared else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 A finite complete Boolean algebra is (up to isomorphism) the powerset of its
 atom set, so elements are represented as bitmasks over atom indices
 ``0 .. atom_count-1``.  Everything here is exact and immutable: meets are
-bit-ands, joins bit-ors, complements bit-flips.
+bit-ands, joins bit-ors, complements bit-flips.  There is one live algebra
+per atom count, and it hands out one shared element per mask from a bounded
+table, so asking for an element is a dict read.
 
 The module also houses partitions of unity, covers, refinement tests,
 common refinements, and the finitized countable-distributivity criteria
@@ -13,8 +15,9 @@ common refinements, and the finitized countable-distributivity criteria
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -23,36 +26,82 @@ class AlgebraMismatchError(ValueError):
     """Raised when elements of distinct algebras are combined."""
 
 
-@dataclass(frozen=True)
+#: Most elements one algebra keeps in its element table.  Up to 12 atoms
+#: every element fits; above, the first masks asked for are kept and any
+#: other element is built on each call.
+ELEMENT_TABLE_CAP = 4096
+
+_ALGEBRAS: weakref.WeakValueDictionary[int, "FiniteBooleanAlgebra"] = \
+    weakref.WeakValueDictionary()
+
+
 class FiniteBooleanAlgebra:
     """The powerset algebra on ``atom_count`` atoms.
 
-    Two instances with the same atom count denote the same algebra
-    (value semantics), so elements may be built from either.
+    Algebras are interned: ``FiniteBooleanAlgebra(n)`` returns the one live
+    algebra with n atoms, so value semantics means one object per atom
+    count, and elements built from any call share it.  Each algebra keeps a
+    lazily filled table of at most ``ELEMENT_TABLE_CAP`` of its elements;
+    :meth:`from_mask`, :attr:`top`, :attr:`bottom`, :meth:`atom`,
+    :meth:`element` and the :class:`BoolElem` operations hand out the
+    table's element for a mask, so a repeated mask is one dict read and the
+    same object.  An element refers to its algebra and the algebra to its
+    table, so an algebra nothing else refers to is freed by the garbage
+    collector, and then drops out of the intern table.
     """
 
+    __slots__ = ("atom_count", "full_mask", "_elements", "__weakref__")
+
     atom_count: int
+    full_mask: int
+    _elements: dict[int, "BoolElem"]
 
-    def __post_init__(self) -> None:
-        if self.atom_count < 1:
+    def __new__(cls, atom_count: int) -> "FiniteBooleanAlgebra":
+        # a bool or a float would otherwise find the algebra of its int value
+        if isinstance(atom_count, bool) or not isinstance(atom_count, int):
+            raise TypeError(f"atom_count must be an int, not {type(atom_count).__name__}")
+        if atom_count < 1:
             raise ValueError("atom_count must be a positive integer")
+        self = _ALGEBRAS.get(atom_count)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "atom_count", atom_count)
+            object.__setattr__(self, "full_mask", (1 << atom_count) - 1)
+            object.__setattr__(self, "_elements", {})
+            _ALGEBRAS[atom_count] = self
+        return self
 
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.atom_count) - 1
+    def __reduce__(self) -> tuple:
+        # pickle and copy call the constructor again, so they get the live
+        # algebra; the element table refills on use
+        return FiniteBooleanAlgebra, (self.atom_count,)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        # the dataclass hash this class had: by value, so that the hashes of
+        # elements, and the order of sets of them, do not depend on addresses
+        return hash((self.atom_count,))
+
+    def __repr__(self) -> str:
+        return f"FiniteBooleanAlgebra(atom_count={self.atom_count})"
 
     @property
     def top(self) -> "BoolElem":
-        return BoolElem(self, self.full_mask)
+        return self.from_mask(self.full_mask)
 
     @property
     def bottom(self) -> "BoolElem":
-        return BoolElem(self, 0)
+        return self.from_mask(0)
 
     def atom(self, i: int) -> "BoolElem":
         if not 0 <= i < self.atom_count:
             raise ValueError(f"atom index {i} out of range 0..{self.atom_count - 1}")
-        return BoolElem(self, 1 << i)
+        return self.from_mask(1 << i)
 
     def element(self, atoms: Iterable[int]) -> "BoolElem":
         mask = 0
@@ -60,17 +109,30 @@ class FiniteBooleanAlgebra:
             if not 0 <= i < self.atom_count:
                 raise ValueError(f"atom index {i} out of range 0..{self.atom_count - 1}")
             mask |= 1 << i
-        return BoolElem(self, mask)
+        return self.from_mask(mask)
 
     def from_mask(self, mask: int) -> "BoolElem":
-        if not 0 <= mask <= self.full_mask:
-            raise ValueError("mask out of range for this algebra")
-        return BoolElem(self, mask)
+        """The element with this mask, from the element table.  A new
+        element is checked before it is built, and kept while the table has
+        room; a bool or float key would find an int's entry, so it is
+        refused on every call."""
+        got = self._elements.get(mask)
+        if got is None or type(mask) is not int:
+            if type(mask) is not int:
+                raise TypeError(f"mask must be an int, not {type(mask).__name__}")
+            if not 0 <= mask <= self.full_mask:
+                raise ValueError("mask out of range for this algebra")
+            got = object.__new__(BoolElem)
+            object.__setattr__(got, "algebra", self)
+            object.__setattr__(got, "mask", mask)
+            if len(self._elements) < ELEMENT_TABLE_CAP:
+                self._elements[mask] = got
+        return got
 
     def elements(self) -> Iterator["BoolElem"]:
         """All 2^atom_count elements, in mask order."""
         for mask in range(self.full_mask + 1):
-            yield BoolElem(self, mask)
+            yield self.from_mask(mask)
 
     def sup(self, xs: Iterable["BoolElem"]) -> "BoolElem":
         """Supremum of a family; the empty supremum is 0."""
@@ -78,7 +140,7 @@ class FiniteBooleanAlgebra:
         for x in xs:
             self._check(x)
             mask |= x.mask
-        return BoolElem(self, mask)
+        return self.from_mask(mask)
 
     def inf(self, xs: Iterable["BoolElem"]) -> "BoolElem":
         """Infimum of a family; the empty infimum is 1."""
@@ -86,7 +148,7 @@ class FiniteBooleanAlgebra:
         for x in xs:
             self._check(x)
             mask &= x.mask
-        return BoolElem(self, mask)
+        return self.from_mask(mask)
 
     def _check(self, x: "BoolElem") -> None:
         if x.algebra.atom_count != self.atom_count:
@@ -98,7 +160,11 @@ class FiniteBooleanAlgebra:
 
 @dataclass(frozen=True, slots=True)
 class BoolElem:
-    """An element of a finite Boolean algebra: a set of atoms as a bitmask."""
+    """An element of a finite Boolean algebra: a set of atoms as a bitmask.
+
+    The constructor checks the mask and builds a new object; the algebra's
+    methods and the operations below return the algebra's shared element.
+    """
 
     algebra: FiniteBooleanAlgebra
     mask: int
@@ -111,18 +177,18 @@ class BoolElem:
 
     def meet(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return BoolElem(self.algebra, self.mask & other.mask)
+        return self.algebra.from_mask(self.mask & other.mask)
 
     def join(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return BoolElem(self.algebra, self.mask | other.mask)
+        return self.algebra.from_mask(self.mask | other.mask)
 
     def complement(self) -> "BoolElem":
-        return BoolElem(self.algebra, self.mask ^ self.algebra.full_mask)
+        return self.algebra.from_mask(self.mask ^ self.algebra.full_mask)
 
     def minus(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return BoolElem(self.algebra, self.mask & ~other.mask)
+        return self.algebra.from_mask(self.mask & ~other.mask)
 
     def implies(self, other: "BoolElem") -> "BoolElem":
         """Boolean implication a => b := a* v b."""

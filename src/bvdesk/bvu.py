@@ -33,8 +33,9 @@ the same stalks as nested frozensets, apart from the id table, and
 atom, as the independent check.
 
 Truth values are computed on the algebra's int masks (meet ``&``, join
-``|``, implication ``~a | b``); a :class:`BoolElem` is built only where a
-public function returns one.
+``|``, implication ``~a | b``); where a function returns a
+:class:`BoolElem` it is the algebra's shared element for the mask, and the
+truth memo tables keep those elements.
 
 B-valued sets are hash-consed: structurally identical sets are the same
 object, so a set's signature is computed once and memo tables keyed by uid
@@ -95,7 +96,8 @@ class BSet:
 
     @property
     def dom(self) -> tuple[tuple["BSet", BoolElem], ...]:
-        return tuple([(t, BoolElem(self.algebra, m)) for t, m in self.entries])
+        elem = self.algebra.from_mask
+        return tuple([(t, elem(m)) for t, m in self.entries])
 
     def children(self) -> tuple["BSet", ...]:
         return tuple(t for t, _ in self.entries)
@@ -177,20 +179,17 @@ def _intern(algebra: FiniteBooleanAlgebra, merged: dict[int, tuple[BSet, int]]) 
 
 # -- truth values ------------------------------------------------------------
 
-# Masks of [[x in y]] keyed by (x.uid, y.uid) and of [[x = y]] keyed by the
-# pair in uid order (smaller first), one entry per pair queried.
-_MEM_CACHE: dict[tuple[int, int], int] = {}
-_EQ_CACHE: dict[tuple[int, int], int] = {}
-# The elements truth_mem and truth_eq have returned, by the same keys, so that
-# a repeated query is a single lookup.
-_MEM_ANSWERS: dict[tuple[int, int], BoolElem] = {}
-_EQ_ANSWERS: dict[tuple[int, int], BoolElem] = {}
-# Canonical forms keyed by uid: built from the masks above, cleared with them.
+# [[x in y]] keyed by (x.uid, y.uid) and [[x = y]] keyed by the pair in uid
+# order (smaller first), one entry per pair queried.  Each holds the
+# algebra's shared element, which truth_mem and truth_eq return as it is.
+_MEM_CACHE: dict[tuple[int, int], BoolElem] = {}
+_EQ_CACHE: dict[tuple[int, int], BoolElem] = {}
+# Canonical forms keyed by uid: built from the values above, cleared with them.
 _CANON: dict[int, "BSet"] = {}
 
 
 def clear_truth_caches() -> None:
-    for table in (_MEM_CACHE, _EQ_CACHE, _MEM_ANSWERS, _EQ_ANSWERS, _CANON):
+    for table in (_MEM_CACHE, _EQ_CACHE, _CANON):
         table.clear()
 
 
@@ -201,11 +200,10 @@ def _check_same(x: BSet, y: BSet) -> None:
 
 def truth_mem(x: BSet, y: BSet) -> BoolElem:
     """The Boolean truth value [[x in y]]."""
-    key = (x.uid, y.uid)
-    got = _MEM_ANSWERS.get(key)
+    got = _MEM_CACHE.get((x.uid, y.uid))
     if got is None:
         _check_same(x, y)
-        got = _MEM_ANSWERS[key] = BoolElem(y.algebra, _mem(x, y))
+        got = _mem(x, y)
     return got
 
 
@@ -213,55 +211,52 @@ def truth_eq(x: BSet, y: BSet) -> BoolElem:
     """The Boolean truth value [[x = y]].
 
     Computed from the signatures even for x is y (reflexivity is a theorem,
-    not a special case).  The mask is memoized once per unordered pair,
-    since [[x = y]] = [[y = x]]; a first query of (x, y) takes the element
-    already returned for (y, x).
+    not a special case).  The value is memoized once per unordered pair,
+    since [[x = y]] = [[y = x]], so (x, y) and (y, x) return one object.
     """
-    key = (x.uid, y.uid)
-    got = _EQ_ANSWERS.get(key)
+    if x.uid > y.uid:
+        x, y = y, x
+    got = _EQ_CACHE.get((x.uid, y.uid))
     if got is None:
-        got = _EQ_ANSWERS.get((y.uid, x.uid))
-        if got is None:
-            _check_same(x, y)
-            got = BoolElem(x.algebra, _eq(x, y))
-        _EQ_ANSWERS[key] = got
+        _check_same(x, y)
+        got = _eq(x, y)
     return got
 
 
-def _mem(x: BSet, y: BSet) -> int:
-    """[[x in y]] as a mask: the atoms i where x_i is a member of y_i, read
-    off the signatures one class of x at a time; x, y share an algebra."""
+def _mem(x: BSet, y: BSet) -> BoolElem:
+    """[[x in y]]: the atoms i where x_i is a member of y_i, read off the
+    signatures one class of x at a time; x, y share an algebra."""
     key = (x.uid, y.uid)
-    acc = _MEM_CACHE.get(key)
-    if acc is None:
+    got = _MEM_CACHE.get(key)
+    if got is None:
         acc = 0
         holds = y.holds
         for k, mx in x.classes.items():
             acc |= mx & holds.get(k, 0)
-        _MEM_CACHE[key] = acc
-    return acc
+        got = _MEM_CACHE[key] = y.algebra.from_mask(acc)
+    return got
 
 
-def _eq(x: BSet, y: BSet) -> int:
-    """[[x = y]] as a mask: the atoms i where x_i and y_i have the same id;
-    x, y share an algebra.  The pair is memoized in uid order."""
+def _eq(x: BSet, y: BSet) -> BoolElem:
+    """[[x = y]]: the atoms i where x_i and y_i have the same id; x, y share
+    an algebra.  The pair is memoized in uid order."""
     if x.uid > y.uid:
         x, y = y, x
     key = (x.uid, y.uid)
-    acc = _EQ_CACHE.get(key)
-    if acc is None:
+    got = _EQ_CACHE.get(key)
+    if got is None:
         acc = 0
         ys = y.classes
         for k, mx in x.classes.items():
             acc |= mx & ys.get(k, 0)
-        _EQ_CACHE[key] = acc
-    return acc
+        got = _EQ_CACHE[key] = y.algebra.from_mask(acc)
+    return got
 
 
 def equivalent(x: BSet, y: BSet) -> bool:
     """Truth-value equivalence: [[x = y]] = 1."""
     _check_same(x, y)
-    return _eq(x, y) == x.algebra.full_mask
+    return _eq(x, y).mask == x.algebra.full_mask
 
 
 # -- standard names ----------------------------------------------------------
@@ -342,7 +337,7 @@ def _mix(algebra: FiniteBooleanAlgebra, masks: Sequence[int], xs: Sequence[BSet]
             if t.uid not in merged:
                 val = 0
                 for b, z in zip(masks, xs):
-                    val |= b & _mem(t, z)
+                    val |= b & _mem(t, z).mask
                 merged[t.uid] = (t, val)
     return _intern(algebra, merged)
 
@@ -484,7 +479,7 @@ def _canonical(x: BSet, done: dict[int, BSet]) -> BSet:
             reps.setdefault(ct.sig, ct)
         merged = {}
         for ct in reps.values():
-            val = _mem(ct, x)
+            val = _mem(ct, x).mask
             if val:
                 merged[ct.uid] = (ct, val)
         got = done[x.uid] = _intern(x.algebra, merged)
@@ -514,7 +509,7 @@ def eval_formula(f: F.Formula, env: Mapping[str, BSet],
     Every set of the environment must live over the algebra.
     """
     algebra = _eval_algebra(f, env, algebra)
-    return BoolElem(algebra, _eval(f, dict(env), algebra.full_mask))
+    return algebra.from_mask(_eval(f, dict(env), algebra.full_mask))
 
 
 def _eval_algebra(f: F.Formula, env: Mapping[str, BSet],
@@ -537,9 +532,9 @@ def _eval_algebra(f: F.Formula, env: Mapping[str, BSet],
 def _eval(f: F.Formula, env: dict[str, BSet], full: int) -> int:
     """Truth value of ``f`` as a mask below ``full``, the algebra's top."""
     if isinstance(f, F.Eq):
-        return _eq(_resolve(f.left, env), _resolve(f.right, env))
+        return _eq(_resolve(f.left, env), _resolve(f.right, env)).mask
     if isinstance(f, F.Mem):
-        return _mem(_resolve(f.left, env), _resolve(f.right, env))
+        return _mem(_resolve(f.left, env), _resolve(f.right, env)).mask
     if isinstance(f, F.Not):
         return full ^ _eval(f.body, env, full)
     if isinstance(f, F.And):
@@ -592,8 +587,8 @@ def existential_witnesses(f: F.Exists, env: Mapping[str, BSet],
     for _, m in masks:
         total |= m
     attained = next((t for t, m in masks if m == total), None)
-    contributions = [(t, BoolElem(algebra, m)) for t, m in masks]
-    return BoolElem(algebra, total), contributions, attained
+    elem = algebra.from_mask
+    return elem(total), [(t, elem(m)) for t, m in masks], attained
 
 
 def eval_atomwise(f: F.Formula, env: Mapping[str, BSet],
@@ -612,7 +607,7 @@ def eval_atomwise(f: F.Formula, env: Mapping[str, BSet],
     for i in range(algebra.atom_count):
         if classical_eval(f, {name: st[i] for name, st in per_atom.items()}):
             mask |= 1 << i
-    return BoolElem(algebra, mask)
+    return algebra.from_mask(mask)
 
 
 # -- classical evaluation and restricted transfer ------------------------------

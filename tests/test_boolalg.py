@@ -1,10 +1,15 @@
+import copy
+import gc
 import itertools
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdesk.boolalg import (AlgebraMismatchError, BoolElem, Cover,
+from bvdesk import boolalg
+from bvdesk.boolalg import (ELEMENT_TABLE_CAP, AlgebraMismatchError, BoolElem, Cover,
                             FiniteBooleanAlgebra, Partition,
                             axioms_hold_on_triple, common_refinement,
                             _sigma_sides, is_cover, is_partition,
@@ -315,3 +320,183 @@ def test_json_round_trip():
     assert BoolElem.from_json(e.to_json(), A4) == e
     with pytest.raises(ValueError):
         BoolElem.from_json({"bad": 1}, A4)
+
+
+# -- the shared element table, against the constructor path it replaced -----
+
+
+def reference_elements(algebra, masks):
+    """The elements the algebra's methods built before the table: each one a
+    fresh, validated ``BoolElem(algebra, mask)``."""
+    a, b = (BoolElem(algebra, m) for m in masks)
+    full = algebra.full_mask
+    return {
+        "from_mask": BoolElem(algebra, a.mask),
+        "top": BoolElem(algebra, full),
+        "bottom": BoolElem(algebra, 0),
+        "atom": BoolElem(algebra, 1 << (a.mask % algebra.atom_count)),
+        "element": BoolElem(algebra, a.mask | b.mask),
+        "meet": BoolElem(algebra, a.mask & b.mask),
+        "join": BoolElem(algebra, a.mask | b.mask),
+        "complement": BoolElem(algebra, a.mask ^ full),
+        "minus": BoolElem(algebra, a.mask & ~b.mask),
+        "implies": BoolElem(algebra, (a.mask ^ full) | b.mask),
+        "sup": BoolElem(algebra, a.mask | b.mask),
+        "inf": BoolElem(algebra, a.mask & b.mask),
+    }
+
+
+def table_elements(algebra, masks):
+    """The same elements, as the algebra now hands them out."""
+    a, b = (algebra.from_mask(m) for m in masks)
+    return {
+        "from_mask": algebra.from_mask(a.mask),
+        "top": algebra.top,
+        "bottom": algebra.bottom,
+        "atom": algebra.atom(a.mask % algebra.atom_count),
+        "element": algebra.element([*a.atoms, *b.atoms]),
+        "meet": a & b,
+        "join": a | b,
+        "complement": ~a,
+        "minus": a - b,
+        "implies": a.implies(b),
+        "sup": algebra.sup([a, b]),
+        "inf": algebra.inf([a, b]),
+    }
+
+
+def mask_pairs(atom_count):
+    return st.lists(st.integers(0, (1 << atom_count) - 1), min_size=2, max_size=2)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 16), st.data())
+def test_table_elements_match_fresh_constructor_elements(atom_count, data):
+    algebra = FiniteBooleanAlgebra(atom_count)
+    masks = data.draw(mask_pairs(atom_count))
+    want = reference_elements(algebra, masks)
+    got = table_elements(algebra, masks)
+    for name, fresh in want.items():
+        x = got[name]
+        assert type(x) is BoolElem and x.algebra is algebra, name
+        assert (x.mask, repr(x), x.to_json(), hash(x)) == \
+            (fresh.mask, repr(fresh), fresh.to_json(), hash(fresh)), name
+        assert x == fresh, name
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 16), st.data())
+def test_a_repeated_call_returns_the_same_object(atom_count, data):
+    """Identity holds exactly for the masks the table keeps: every mask up to
+    12 atoms, and above that while the table has room."""
+    algebra = FiniteBooleanAlgebra(atom_count)
+    assert FiniteBooleanAlgebra(atom_count) is algebra
+    assert FiniteBooleanAlgebra(atom_count=atom_count) is algebra
+    masks = data.draw(mask_pairs(atom_count))
+    table = algebra._elements
+    first = table_elements(algebra, masks)
+    again = table_elements(FiniteBooleanAlgebra(atom_count), masks)
+    for name, x in first.items():
+        stored = table.get(x.mask) is x
+        assert (again[name] is x) == stored, name
+        assert stored or atom_count > 12, name
+    assert len(table) <= ELEMENT_TABLE_CAP
+
+
+def test_atom_counts_are_kept_apart():
+    algebras = [FiniteBooleanAlgebra(n) for n in range(1, 17)]
+    for n, algebra in enumerate(algebras, 1):
+        assert algebra.atom_count == n and algebra.full_mask == (1 << n) - 1
+        assert algebra.top.mask == (1 << n) - 1 and algebra.top.algebra is algebra
+    assert len({id(a) for a in algebras}) == 16
+    assert FiniteBooleanAlgebra(3).top != FiniteBooleanAlgebra(4).from_mask(7)
+
+
+def unused_atom_count():
+    """An atom count whose algebra is not alive, so it starts with an empty
+    table."""
+    return next(n for n in itertools.count(13) if n not in boolalg._ALGEBRAS)
+
+
+def test_a_full_table_stays_at_its_cap_and_stays_correct():
+    algebra = FiniteBooleanAlgebra(unused_atom_count())
+    table = algebra._elements
+    assert not table
+    masks = [(m * 40503) & algebra.full_mask for m in range(ELEMENT_TABLE_CAP + 600)]
+    first = [algebra.from_mask(m) for m in masks]
+    assert len(table) == ELEMENT_TABLE_CAP
+    again = [algebra.from_mask(m) for m in masks]
+    assert len(table) == ELEMENT_TABLE_CAP
+    for k, (m, x, y) in enumerate(zip(masks, first, again)):
+        assert x.mask == y.mask == m and x == y == BoolElem(algebra, m)
+        assert repr(x) == repr(BoolElem(algebra, m))
+        # the first masks asked for are kept, and no other
+        assert (x is y) == (k < ELEMENT_TABLE_CAP) == (table.get(m) is x)
+
+
+@pytest.mark.parametrize("mask", [-1, 16, 1 << 40, -(1 << 40)])
+def test_an_out_of_range_mask_is_refused_on_every_call(mask):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="out of range"):
+            A4.from_mask(mask)
+    assert mask not in A4._elements
+
+
+@pytest.mark.parametrize("mask", [1.0, True, "1", None])
+def test_a_mask_that_is_not_an_int_is_refused_on_every_call(mask):
+    A4.from_mask(1)
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            A4.from_mask(mask)
+    assert type(A4._elements[1].mask) is int
+
+
+@pytest.mark.parametrize("atom_count", [2.0, True, False, "3", None, 3.5])
+def test_atom_count_must_be_an_int(atom_count):
+    with pytest.raises(TypeError):
+        FiniteBooleanAlgebra(atom_count)
+
+
+@pytest.mark.parametrize("atom_count", [0, -1])
+def test_atom_count_must_be_positive(atom_count):
+    with pytest.raises(ValueError):
+        FiniteBooleanAlgebra(atom_count)
+
+
+def test_an_algebra_is_immutable():
+    with pytest.raises(AttributeError):
+        A4.atom_count = 5
+    with pytest.raises(AttributeError):
+        del A4.full_mask
+    assert A4.atom_count == 4 and A4.full_mask == 15
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trips_to_the_live_algebra(protocol):
+    x = A4.from_mask(5)
+    assert pickle.loads(pickle.dumps(A4, protocol)) is A4
+    y = pickle.loads(pickle.dumps(x, protocol))
+    assert y == x and y.algebra is A4 and repr(y) == repr(x)
+
+
+def test_copies_are_the_live_algebra():
+    x = A4.from_mask(6)
+    assert copy.copy(A4) is A4 and copy.deepcopy(A4) is A4
+    y = copy.deepcopy(x)
+    assert y == x and y.algebra is A4
+    assert copy.deepcopy([A4, x]) == [A4, x]
+
+
+def test_an_unreferenced_algebra_leaves_the_intern_table():
+    """Element -> algebra -> table -> element is a cycle, so only the garbage
+    collector frees an algebra; once it has, the atom count builds afresh."""
+    n = unused_atom_count()
+    algebra = FiniteBooleanAlgebra(n)
+    algebra.top, algebra.atom(0) & algebra.top
+    ref = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert ref() is None and n not in boolalg._ALGEBRAS
+    fresh = FiniteBooleanAlgebra(n)
+    assert not fresh._elements and fresh.atom_count == n
+    assert boolalg._ALGEBRAS[n] is fresh

@@ -2,11 +2,15 @@
 
 Sets are built, extended, mixed, ascended, descended, canonicalized and
 named in a random order, interleaved with clear_truth_caches and with RANK_CAP raised
-and restored.  After every step, every pair of sets built so far must have
-the truth values of the reference recursion, each set's canonical form must
-be its own canonical form, keep its stalks and hold children with distinct
-stalks, and structurally equal sets must be the same object.  Nothing returned, canonical forms included, may
-lie above RANK_CAP.
+and restored; some sets are built over the algebra a fresh
+FiniteBooleanAlgebra(n) call returns.  After every step, every pair of sets
+built so far must have the truth values of the reference recursion, each
+truth value must be its algebra's shared element for its mask, [[x = y]] and
+[[y = x]] must be one object, and a repeated query must not recompute; each
+set's canonical form must be its own canonical form, keep its stalks and
+hold children with distinct stalks, and structurally equal sets must be the
+same object.  Nothing returned, canonical forms included, may lie above
+RANK_CAP.
 """
 
 import itertools
@@ -69,6 +73,16 @@ class BVUniverse(RuleBasedStateMachine):
         built while the cap was raised outlive its restoring."""
         assert any(x.rank > bvu.RANK_CAP for x in inputs)
         return multiple()
+
+    @rule(target=sets, children=st.lists(st.tuples(sets, st.integers(0, 15)), max_size=3))
+    def build_over_a_fresh_call(self, children):
+        """The constructor hands out the live algebra, so sets and values
+        made through a new call mix with everything built before."""
+        algebra = FiniteBooleanAlgebra(self.algebra.atom_count)
+        assert algebra is self.algebra
+        pairs = [(t, algebra.from_mask(m & algebra.full_mask)) for t, m in children]
+        rank = 1 + max((t.rank for t, _ in pairs), default=-1)
+        return self.capped(rank, lambda: bset(algebra, pairs))
 
     @rule(target=sets, seed=st.integers(0, 10_000), xs=st.lists(sets, min_size=3, max_size=3))
     def mix_family(self, seed, xs):
@@ -142,6 +156,7 @@ class BVUniverse(RuleBasedStateMachine):
     @rule()
     def clear(self):
         bvu.clear_truth_caches()
+        assert not (bvu._MEM_CACHE or bvu._EQ_CACHE or bvu._CANON)
 
     @precondition(lambda self: bvu.RANK_CAP == DEFAULT_RANK_CAP)
     @rule(target=sets)
@@ -160,6 +175,26 @@ class BVUniverse(RuleBasedStateMachine):
         for x, y in itertools.product(self.built, repeat=2):
             assert truth_eq(x, y) == reference_truth_eq(x, y)
             assert truth_mem(x, y) == reference_truth_mem(x, y)
+
+    @invariant()
+    def truth_values_are_shared_elements(self):
+        answers = {}
+        for x, y in itertools.product(self.built, repeat=2):
+            eq, mem = answers[x, y] = truth_eq(x, y), truth_mem(x, y)
+            assert eq is truth_eq(y, x)
+            for value in (eq, mem):
+                assert value.algebra is self.algebra
+                assert value is self.algebra.from_mask(value.mask)
+        assert all(a <= b for a, b in bvu._EQ_CACHE)
+        # a warm query, in either order, is a table read
+        real = bvu._eq, bvu._mem
+        try:
+            bvu._eq = bvu._mem = lambda *args: pytest.fail("a warm truth query recomputed")
+            for (x, y), (eq, mem) in answers.items():
+                assert truth_eq(x, y) is eq and truth_eq(y, x) is eq
+                assert truth_mem(x, y) is mem
+        finally:
+            bvu._eq, bvu._mem = real
 
     @invariant()
     def canonical_forms_are_fixed_points_below_the_cap(self):
