@@ -27,8 +27,9 @@ class AlgebraMismatchError(ValueError):
 
 
 #: Most elements one algebra keeps in its element table.  Up to 12 atoms
-#: every element fits; above, the first masks asked for are kept and any
-#: other element is built on each call.
+#: every element fits; above, the table holds bottom, top and the atoms,
+#: which it is seeded with (the atoms up to 4094 of them), and then the
+#: first other masks asked for; any other element is built on each call.
 ELEMENT_TABLE_CAP = 4096
 
 _ALGEBRAS: weakref.WeakValueDictionary[int, "FiniteBooleanAlgebra"] = \
@@ -41,7 +42,8 @@ class FiniteBooleanAlgebra:
     Algebras are interned: ``FiniteBooleanAlgebra(n)`` returns the one live
     algebra with n atoms, so value semantics means one object per atom
     count, and elements built from any call share it.  Each algebra keeps a
-    lazily filled table of at most ``ELEMENT_TABLE_CAP`` of its elements;
+    table of at most ``ELEMENT_TABLE_CAP`` of its elements, seeded with
+    bottom, top and the atoms and then filled lazily;
     :meth:`from_mask`, :attr:`top`, :attr:`bottom`, :meth:`atom`,
     :meth:`element` and the :class:`BoolElem` operations hand out the
     table's element for a mask, so a repeated mask is one dict read and the
@@ -68,6 +70,14 @@ class FiniteBooleanAlgebra:
             object.__setattr__(self, "atom_count", atom_count)
             object.__setattr__(self, "full_mask", (1 << atom_count) - 1)
             object.__setattr__(self, "_elements", {})
+            # bottom, top and the atoms first, so that no burst of other
+            # masks can crowd them out of a table above 12 atoms; the atoms
+            # only while they fit, so a huge atom count builds two elements
+            seeds = [0, self.full_mask]
+            if atom_count + 2 <= ELEMENT_TABLE_CAP:
+                seeds += [1 << i for i in range(atom_count)]
+            for mask in seeds:
+                self.from_mask(mask)
             _ALGEBRAS[atom_count] = self
         return self
 

@@ -84,8 +84,9 @@ PI_CAP = 10 ** 6
 PI_WORK_CAP = 5 * 10 ** 6
 #: Most ``--trials`` that ``lattice gordon`` and ``algebra check`` may run.
 MAX_TRIALS = 10 ** 4
-#: Largest matrix order ``ops classify`` accepts: recovering the multiplier of
-#: a diagonal matrix makes n + 1 dense applies, n^3 ``Fraction`` products.
+#: Largest matrix order ``ops classify`` accepts.  The diagonal test and the
+#: multiplier's self-check (one sparse apply per atom) make O(n^2) zero tests
+#: and n ``Fraction`` products, no more than reading the n^2 entries.
 MAX_MATRIX_ORDER = 64
 #: Largest ``--k`` of ``cf convergent`` that can succeed: the k-th denominator
 #: is at least the Fibonacci number F_(k+1), and F_20578 has more digits than

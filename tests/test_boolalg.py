@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdesk import boolalg
+from bvdesk import boolalg, cli
 from bvdesk.boolalg import (ELEMENT_TABLE_CAP, AlgebraMismatchError, BoolElem, Cover,
                             FiniteBooleanAlgebra, Partition,
                             axioms_hold_on_triple, common_refinement,
@@ -418,20 +418,53 @@ def unused_atom_count():
     return next(n for n in itertools.count(13) if n not in boolalg._ALGEBRAS)
 
 
+def seeded_masks(algebra):
+    """bottom, top and the atoms: what a new algebra's table starts with."""
+    return {0, algebra.full_mask, *(1 << i for i in range(algebra.atom_count))}
+
+
 def test_a_full_table_stays_at_its_cap_and_stays_correct():
     algebra = FiniteBooleanAlgebra(unused_atom_count())
     table = algebra._elements
-    assert not table
+    seeded = seeded_masks(algebra)
+    assert set(table) == seeded and len(seeded) == algebra.atom_count + 2
     masks = [(m * 40503) & algebra.full_mask for m in range(ELEMENT_TABLE_CAP + 600)]
+    assert len(set(masks)) == len(masks) and 0 in masks
     first = [algebra.from_mask(m) for m in masks]
     assert len(table) == ELEMENT_TABLE_CAP
     again = [algebra.from_mask(m) for m in masks]
     assert len(table) == ELEMENT_TABLE_CAP
-    for k, (m, x, y) in enumerate(zip(masks, first, again)):
+    # the seeded elements plus the first 4096 - (n + 2) other masks asked
+    # for are kept, and no other
+    others = [m for m in masks if m not in seeded]
+    kept = seeded | set(others[:ELEMENT_TABLE_CAP - len(seeded)])
+    for m, x, y in zip(masks, first, again):
         assert x.mask == y.mask == m and x == y == BoolElem(algebra, m)
         assert repr(x) == repr(BoolElem(algebra, m))
-        # the first masks asked for are kept, and no other
-        assert (x is y) == (k < ELEMENT_TABLE_CAP) == (table.get(m) is x)
+        assert (x is y) == (m in kept) == (table.get(m) is x)
+
+
+def test_the_atoms_are_seeded_while_they_fit():
+    """Up to 4094 atoms a new table holds bottom, top and every atom;
+    above, bottom and top alone, so that an algebra a caller builds only to
+    refuse it (a JSON payload with a million atoms) costs two elements."""
+    fits = FiniteBooleanAlgebra(ELEMENT_TABLE_CAP - 2)
+    assert set(fits._elements) == seeded_masks(fits) and len(fits._elements) == ELEMENT_TABLE_CAP
+    for n in (ELEMENT_TABLE_CAP - 1, 10 ** 6):
+        huge = FiniteBooleanAlgebra(n)
+        assert set(huge._elements) == {0, huge.full_mask}
+
+
+def test_a_burst_of_masks_leaves_top_bottom_and_atoms_shared(capsys):
+    algebra = FiniteBooleanAlgebra(16)  # held, so the command uses this algebra
+    assert cli.main(["algebra", "check", "--atoms", "16", "--trials", "10000"]) == 0
+    capsys.readouterr()
+    table = algebra._elements
+    assert len(table) == ELEMENT_TABLE_CAP  # the burst filled the table
+    shared = [algebra.top, algebra.bottom, *(algebra.atom(i) for i in range(16))]
+    assert [x.mask for x in shared] == [algebra.full_mask, 0, *(1 << i for i in range(16))]
+    assert all(table[x.mask] is x for x in shared)
+    assert algebra.top is FiniteBooleanAlgebra(16).from_mask(algebra.full_mask)
 
 
 @pytest.mark.parametrize("mask", [-1, 16, 1 << 40, -(1 << 40)])
@@ -498,5 +531,5 @@ def test_an_unreferenced_algebra_leaves_the_intern_table():
     gc.collect()
     assert ref() is None and n not in boolalg._ALGEBRAS
     fresh = FiniteBooleanAlgebra(n)
-    assert not fresh._elements and fresh.atom_count == n
+    assert set(fresh._elements) == seeded_masks(fresh) and fresh.atom_count == n
     assert boolalg._ALGEBRAS[n] is fresh
