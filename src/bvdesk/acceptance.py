@@ -9,11 +9,13 @@ criteria themselves.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import bvu, contfrac, operators as ops, pnfin, refinement
 from .battery import run_battery
@@ -140,10 +142,30 @@ def _defining_eq(x: BSet, y: BSet) -> int:
 # -- criteria ------------------------------------------------------------------
 
 
-def criterion_1_truth_value_laws(seed: int) -> CriterionResult:
+def _criterion(number: int, name: str, ceiling_s: int | None = None):
+    """Make ``check(rng) -> (passed, detail)`` acceptance criterion ``number``.
+
+    The criterion takes a seed, hands ``check`` a ``random.Random`` seeded
+    with ``seed + 7919 * number`` and times the call.  A pass that took
+    ``ceiling_s`` seconds or more becomes a fail; a fail keeps its detail.
+    """
+    def decorate(check: Callable[[random.Random], tuple[bool, str]]
+                 ) -> Callable[[int], CriterionResult]:
+        @functools.wraps(check)
+        def run(seed: int) -> CriterionResult:
+            start = time.monotonic_ns()
+            passed, detail = check(random.Random(seed + 7919 * number))
+            elapsed = time.monotonic_ns() - start
+            if passed and ceiling_s is not None and elapsed >= ceiling_s * 10 ** 9:
+                passed, detail = False, f"{detail}; runtime ceiling {ceiling_s}s exceeded"
+            return CriterionResult(number, name, passed, detail, elapsed)
+        return run
+    return decorate
+
+
+@_criterion(1, "truth-value laws", ceiling_s=30)
+def criterion_1_truth_value_laws(rng: random.Random) -> tuple[bool, str]:
     """Reflexivity, symmetry, transitivity, and substitution, exactly."""
-    start = time.monotonic_ns()
-    rng = random.Random(seed + 7919 * 1)
     trials = 334  # three fresh sets per trial: >= 1000 random B-valued sets
     checked = 0
     for _ in range(trials):
@@ -153,32 +175,26 @@ def criterion_1_truth_value_laws(seed: int) -> CriterionResult:
         z = random_bset(rng, algebra)
         checked += 3
         if not truth_eq(x, x).is_one:
-            return _fail(1, "truth-value laws", f"reflexivity failed on {x!r}", start)
+            return False, f"reflexivity failed on {x!r}"
         exy, eyx = truth_eq(x, y), truth_eq(y, x)
         if exy != eyx:
-            return _fail(1, "truth-value laws", "symmetry failed", start)
+            return False, "symmetry failed"
         # the kernel reads stalk signatures, so symmetry holds by itself; the
         # defining recursion shares nothing with them
         if not exy.mask == eyx.mask == _defining_eq(x, y):
-            return _fail(1, "truth-value laws", "equality disagrees with the recursion", start)
+            return False, "equality disagrees with the recursion"
         eyz, exz = truth_eq(y, z), truth_eq(x, z)
         if not exy.meet(eyz).leq(exz):
-            return _fail(1, "truth-value laws", "transitivity failed", start)
+            return False, "transitivity failed"
         if not exy.meet(truth_mem(y, z)).leq(truth_mem(x, z)):
-            return _fail(1, "truth-value laws", "membership substitution failed", start)
+            return False, "membership substitution failed"
         if not exy.meet(truth_mem(z, y)).leq(truth_mem(z, x)):
-            return _fail(1, "truth-value laws", "element substitution failed", start)
-    elapsed = time.monotonic_ns() - start
-    ok = elapsed < 30 * 10 ** 9
-    return CriterionResult(1, "truth-value laws", ok,
-                           f"{checked} random sets, all five laws exact"
-                           + ("" if ok else "; runtime ceiling 30s exceeded"),
-                           elapsed)
+            return False, "element substitution failed"
+    return True, f"{checked} random sets, all five laws exact"
 
 
-def criterion_2_mixing_principle(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    rng = random.Random(seed + 7919 * 2)
+@_criterion(2, "mixing principle")
+def criterion_2_mixing_principle(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
         algebra = FiniteBooleanAlgebra(rng.randint(2, 6))
@@ -187,42 +203,34 @@ def criterion_2_mixing_principle(seed: int) -> CriterionResult:
         mixed = mix(parts, xs)
         for b, x in zip(parts, xs):
             if not b.leq(truth_eq(mixed, x)):
-                return _fail(2, "mixing principle",
-                             f"[[mix = x]] >= b failed for b={b!r}", start)
-    return _pass(2, "mixing principle", f"{trials} random (partition, family) pairs", start)
+                return False, f"[[mix = x]] >= b failed for b={b!r}"
+    return True, f"{trials} random (partition, family) pairs"
 
 
-def criterion_3_restricted_transfer(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
+@_criterion(3, "restricted transfer")
+def criterion_3_restricted_transfer(_rng: random.Random) -> tuple[bool, str]:
     outcomes = []
     for atoms in (2, 3):
         outcomes.extend(run_battery(FiniteBooleanAlgebra(atoms)))
     bad = [o for o in outcomes if not o.ok]
     if bad:
-        return _fail(3, "restricted transfer",
-                     f"{len(bad)} battery failures, first: {bad[0].item.name}", start)
-    count = len(outcomes)
-    return _pass(3, "restricted transfer",
-                 f"{count} battery evaluations agree classically and are two-valued", start)
+        return False, f"{len(bad)} battery failures, first: {bad[0].item.name}"
+    return True, f"{len(outcomes)} battery evaluations agree classically and are two-valued"
 
 
-def criterion_4_escher_rule(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
+@_criterion(4, "arrow cancellation")
+def criterion_4_escher_rule(_rng: random.Random) -> tuple[bool, str]:
     algebra = FiniteBooleanAlgebra(2)
     names = [standard_name(algebra, n) for n in range(3)]
     subsets = [[names[i] for i in range(3) if mask >> i & 1] for mask in range(8)]
     for xs in subsets:
-        report = bvu.escher_check(algebra, xs)
-        if not report.ok:
-            return _fail(4, "arrow cancellation",
-                         f"failed for family of size {len(xs)}", start)
-    return _pass(4, "arrow cancellation",
-                 "all 8 families over {0^,1^,2^} verified modulo equivalence", start)
+        if not bvu.escher_check(algebra, xs).ok:
+            return False, f"failed for family of size {len(xs)}"
+    return True, "all 8 families over {0^,1^,2^} verified modulo equivalence"
 
 
-def criterion_5_projection_truth_identities(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    rng = random.Random(seed + 7919 * 5)
+@_criterion(5, "projection/truth identities", ceiling_s=5)
+def criterion_5_projection_truth_identities(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
         dim = rng.randint(1, 12)
@@ -235,30 +243,23 @@ def criterion_5_projection_truth_identities(seed: int) -> CriterionResult:
             swap = rng.randrange(dim)
             y = LatticeVector(y.coords[:swap] + (x.coords[swap],) + y.coords[swap + 1:])
         if not gordon_check(b, x, y).ok:
-            return _fail(5, "projection/truth identities",
-                         f"failed for b={b!r}, x={x!r}, y={y!r}", start)
-    elapsed = time.monotonic_ns() - start
-    ok = elapsed < 5 * 10 ** 9
-    return CriterionResult(5, "projection/truth identities", ok,
-                           f"{trials} random triples, both equivalences exact"
-                           + ("" if ok else "; runtime ceiling 5s exceeded"),
-                           elapsed)
+            return False, f"failed for b={b!r}, x={x!r}, y={y!r}"
+    return True, f"{trials} random triples, both equivalences exact"
 
 
-def criterion_6_multiplier_recovery(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    rng = random.Random(seed + 7919 * 6)
+@_criterion(6, "multiplier recovery")
+def criterion_6_multiplier_recovery(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
         dim = rng.randint(1, 8)
         diag = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
         m = ops.diagonal_matrix(diag)
         if not ops.is_band_preserving(m):
-            return _fail(6, "multiplier recovery", "diagonal flagged as non-preserving", start)
+            return False, "diagonal flagged as non-preserving"
         g = ops.multiplier_of(m)
         x = random_vector(rng, dim)
         if ops.apply(m, x.coords) != g.mul(x).coords:
-            return _fail(6, "multiplier recovery", "T x != (T 1) * x", start)
+            return False, "T x != (T 1) * x"
     for _ in range(trials):
         dim = rng.randint(2, 8)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
@@ -266,49 +267,36 @@ def criterion_6_multiplier_recovery(seed: int) -> CriterionResult:
         j = (i + rng.randint(1, dim - 1)) % dim
         rows[i][j] = Fraction(rng.randint(1, 5))  # guarantee an off-diagonal entry
         if ops.is_band_preserving(ops.matrix(rows)):
-            return _fail(6, "multiplier recovery", "non-diagonal accepted", start)
-    return _pass(6, "multiplier recovery",
-                 f"{trials} diagonal recoveries and {trials} non-diagonal rejections", start)
+            return False, "non-diagonal accepted"
+    return True, f"{trials} diagonal recoveries and {trials} non-diagonal rejections"
 
 
-def criterion_7_derivations_trivial(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    dims = []
+@_criterion(7, "no nontrivial derivations", ceiling_s=10)
+def criterion_7_derivations_trivial(_rng: random.Random) -> tuple[bool, str]:
     for n in range(1, 9):
         space = ops.derivation_space(n)
-        dims.append(space.dimension)
         if space.dimension != 0:
-            return _fail(7, "no nontrivial derivations",
-                         f"nullspace dimension {space.dimension} at {n} atoms", start)
-    elapsed = time.monotonic_ns() - start
-    ok = elapsed < 10 * 10 ** 9
-    return CriterionResult(7, "no nontrivial derivations", ok,
-                           "exact nullspace dimension 0 for atom counts 1..8"
-                           + ("" if ok else "; runtime ceiling 10s exceeded"),
-                           elapsed)
+            return False, f"nullspace dimension {space.dimension} at {n} atoms"
+    return True, "exact nullspace dimension 0 for atom counts 1..8"
 
 
-def criterion_8_endomorphisms_and_automorphisms(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    rng = random.Random(seed + 7919 * 8)
+@_criterion(8, "endomorphism/automorphism classification")
+def criterion_8_endomorphisms_and_automorphisms(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
         dim = rng.randint(1, 8)
         idem = [GaussianRational(Fraction(rng.randint(0, 1))) for _ in range(dim)]
         verdict = ops.classify_endomorphism(ops.diagonal_matrix(idem))
         if verdict.kind != "band projection":
-            return _fail(8, "endomorphism/automorphism classification",
-                         f"idempotent classified {verdict.kind!r}", start)
+            return False, f"idempotent classified {verdict.kind!r}"
         expected_support = {i for i, c in enumerate(idem) if c.re == 1}
         if set(verdict.support.atoms) != expected_support:
-            return _fail(8, "endomorphism/automorphism classification",
-                         "band projection support mismatch", start)
+            return False, "band projection support mismatch"
         # bijectivity triage: identity iff no zero on the diagonal
         auto = ops.automorphism_check(ops.diagonal_matrix(idem))
         expected = "identity" if all(c.re == 1 for c in idem) else "not bijective"
         if auto.kind != expected:
-            return _fail(8, "endomorphism/automorphism classification",
-                         f"automorphism verdict {auto.kind!r}, expected {expected!r}", start)
+            return False, f"automorphism verdict {auto.kind!r}, expected {expected!r}"
         # non-idempotent diagonals must be rejected as not multiplicative
         while True:
             c = GaussianRational(Fraction(rng.randint(2, 9), rng.randint(1, 9)),
@@ -317,16 +305,13 @@ def criterion_8_endomorphisms_and_automorphisms(seed: int) -> CriterionResult:
                 break
         bad = ops.diagonal_matrix([c] + idem[1:])
         if ops.classify_endomorphism(bad).kind != "not multiplicative":
-            return _fail(8, "endomorphism/automorphism classification",
-                         "non-idempotent accepted as multiplicative", start)
-    return _pass(8, "endomorphism/automorphism classification",
-                 f"{trials} trials: idempotents are 0/1 band projections; "
-                 "bijective ones are the identity", start)
+            return False, "non-idempotent accepted as multiplicative"
+    return True, (f"{trials} trials: idempotents are 0/1 band projections; "
+                  "bijective ones are the identity")
 
 
-def criterion_9_bilinear_classification(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    rng = random.Random(seed + 7919 * 9)
+@_criterion(9, "bilinear classification")
+def criterion_9_bilinear_classification(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
         dim = rng.randint(1, 6)
@@ -338,13 +323,13 @@ def criterion_9_bilinear_classification(seed: int) -> CriterionResult:
         report = ops.bilinear_report(t)
         if not (report.separately_band_preserving and report.symmetric
                 and report.orthosymmetric):
-            return _fail(9, "bilinear classification", "diagonal tensor misclassified", start)
+            return False, "diagonal tensor misclassified"
         if report.multiplier.coords != tuple(w):
-            return _fail(9, "bilinear classification", "multiplier mismatch", start)
+            return False, "multiplier mismatch"
         x = random_vector(rng, dim)
         y = random_vector(rng, dim)
         if ops.bilinear_apply(t, x.coords, y.coords) != report.multiplier.mul(x).mul(y).coords:
-            return _fail(9, "bilinear classification", "b(x,y) != w*x*y", start)
+            return False, "b(x,y) != w*x*y"
     rejected = 0
     for _ in range(200):
         dim = rng.randint(2, 5)
@@ -360,46 +345,34 @@ def criterion_9_bilinear_classification(seed: int) -> CriterionResult:
         t = ops.tensor(entries)
         if nonzero:
             if ops.is_separately_band_preserving(t):
-                return _fail(9, "bilinear classification",
-                             "nonzero antisymmetric tensor accepted", start)
+                return False, "nonzero antisymmetric tensor accepted"
             rejected += 1
-    return _pass(9, "bilinear classification",
-                 f"{trials} diagonal tensors classified; "
-                 f"{rejected} nonzero antisymmetric candidates rejected", start)
+    return True, (f"{trials} diagonal tensors classified; "
+                  f"{rejected} nonzero antisymmetric candidates rejected")
 
 
-def criterion_10_distributivity_criteria(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    algebra = FiniteBooleanAlgebra(2)
-    elements = list(algebra.elements())
+@_criterion(10, "distributivity criteria")
+def criterion_10_distributivity_criteria(rng: random.Random) -> tuple[bool, str]:
+    elements = list(FiniteBooleanAlgebra(2).elements())
     count = 0
     for rows in (1, 2):
         for cols in (1, 2):
-            for combo in _all_matrices(elements, rows, cols):
+            for flat in itertools.product(elements, repeat=rows * cols):
+                combo = [list(flat[r * cols:(r + 1) * cols]) for r in range(rows)]
                 if not sigma_criteria_check(combo).all_hold:
-                    return _fail(10, "distributivity criteria",
-                                 f"exhaustive case failed: {combo}", start)
+                    return False, f"exhaustive case failed: {combo}"
                 count += 1
-    rng = random.Random(seed + 7919 * 10)
     for _ in range(1000):
         a = FiniteBooleanAlgebra(rng.randint(2, 4))
         matrix = [[random_boolelem(rng, a) for _ in range(3)] for _ in range(3)]
         if not sigma_criteria_check(matrix).all_hold:
-            return _fail(10, "distributivity criteria", "random 3x3 case failed", start)
+            return False, "random 3x3 case failed"
         count += 1
-    return _pass(10, "distributivity criteria",
-                 f"{count} cases: all three finitized forms hold and agree", start)
+    return True, f"{count} cases: all three finitized forms hold and agree"
 
 
-def _all_matrices(elements: Sequence[BoolElem], rows: int, cols: int):
-    import itertools
-
-    for flat in itertools.product(elements, repeat=rows * cols):
-        yield [list(flat[r * cols:(r + 1) * cols]) for r in range(rows)]
-
-
-def criterion_11_refined_function(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
+@_criterion(11, "refined function")
+def criterion_11_refined_function(rng: random.Random) -> tuple[bool, str]:
     algebra = FiniteBooleanAlgebra(4)
     fixture_covers = [
         [algebra.element([0, 1]), algebra.element([2, 3])],
@@ -408,67 +381,51 @@ def criterion_11_refined_function(seed: int) -> CriterionResult:
     result = refinement.refine_report(algebra, fixture_covers)
     expected = (Fraction(0), Fraction(1, 9), Fraction(1, 3), Fraction(4, 9))
     if result.g.coords != expected:
-        return _fail(11, "refined function", f"fixture produced g = {result.g!r}", start)
+        return False, f"fixture produced g = {result.g!r}"
     if not result.ok:
-        return _fail(11, "refined function", "fixture certificates failed", start)
-    rng = random.Random(seed + 7919 * 11)
+        return False, "fixture certificates failed"
     for _ in range(100):
         a = FiniteBooleanAlgebra(rng.randint(2, 12))
         covers = [random_cover(rng, a) for _ in range(rng.randint(1, 5))]
         rep = refinement.refine_report(a, covers)
         if not all(rep.certificates):
-            return _fail(11, "refined function", "g not refined from an input cover", start)
+            return False, "g not refined from an input cover"
         if not all(s.ok for s in rep.separations):
             bad = next(s for s in rep.separations if not s.ok)
-            return _fail(11, "refined function",
-                         f"separation bound failed at pair {bad.atom_pair}", start)
-    return _pass(11, "refined function",
-                 "fixture g = (0, 1/9, 1/3, 4/9); 100 random suites refined with "
-                 "exact separation bounds", start)
+            return False, f"separation bound failed at pair {bad.atom_pair}"
+    return True, ("fixture g = (0, 1/9, 1/3, 4/9); 100 random suites refined with "
+                  "exact separation bounds")
 
 
-def criterion_12_pseudo_intersection(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
+@_criterion(12, "pseudo-intersection")
+def criterion_12_pseudo_intersection(_rng: random.Random) -> tuple[bool, str]:
     for name, factory in pnfin.BUILTIN_CHAINS.items():
         result = pnfin.pseudo_intersection(factory(), count=50, horizon=10_000)
         if any(a >= b for a, b in zip(result.elements, result.elements[1:])):
-            return _fail(12, "pseudo-intersection", f"{name}: output not increasing", start)
+            return False, f"{name}: output not increasing"
         if not result.tail_membership_ok:
-            return _fail(12, "pseudo-intersection", f"{name}: m_k in b_n failed", start)
-    return _pass(12, "pseudo-intersection",
-                 "three built-in chains at count 50, horizon 10^4", start)
+            return False, f"{name}: m_k in b_n failed"
+    return True, "three built-in chains at count 50, horizon 10^4"
 
 
-def criterion_13_continued_fractions(seed: int) -> CriterionResult:
-    start = time.monotonic_ns()
-    rng = random.Random(seed + 7919 * 13)
+@_criterion(13, "continued fractions")
+def criterion_13_continued_fractions(rng: random.Random) -> tuple[bool, str]:
     for _ in range(1000):
         den = rng.randint(2, 10_000)
         num = rng.randint(1, den - 1)
         t = Fraction(num, den)
         pq = contfrac.expand(contfrac.QuadraticSurd.from_fraction(t))
         if contfrac.convergent(pq, len(pq)) != t:
-            return _fail(13, "continued fractions", f"round trip failed for {t}", start)
+            return False, f"round trip failed for {t}"
     sqrt2m1 = contfrac.QuadraticSurd(-1, 1, 1, 2)
     pq = contfrac.expand(sqrt2m1)
     if pq.preperiod != () or pq.period != (2,):
-        return _fail(13, "continued fractions",
-                     f"sqrt(2)-1 expanded to {pq.to_json()}", start)
+        return False, f"sqrt(2)-1 expanded to {pq.to_json()}"
     for k in range(1, 11):
         if not contfrac.convergent_error_within(sqrt2m1, k, pq):
-            return _fail(13, "continued fractions",
-                         f"|t - p_k/q_k| < 1/q_k^2 failed at k={k}", start)
-    return _pass(13, "continued fractions",
-                 "1000 exact round trips; sqrt(2)-1 has period [2]; "
-                 "convergent error bound verified for k <= 10", start)
-
-
-def _pass(number: int, name: str, detail: str, start: int) -> CriterionResult:
-    return CriterionResult(number, name, True, detail, time.monotonic_ns() - start)
-
-
-def _fail(number: int, name: str, detail: str, start: int) -> CriterionResult:
-    return CriterionResult(number, name, False, detail, time.monotonic_ns() - start)
+            return False, f"|t - p_k/q_k| < 1/q_k^2 failed at k={k}"
+    return True, ("1000 exact round trips; sqrt(2)-1 has period [2]; "
+                  "convergent error bound verified for k <= 10")
 
 
 ALL_CRITERIA: tuple[Callable[[int], CriterionResult], ...] = (

@@ -24,7 +24,7 @@ from .acceptance import DEFAULT_SEED, random_boolelem, random_vector
 from .battery import run_battery
 from .boolalg import (BoolElem, FiniteBooleanAlgebra, axioms_hold_on_triple,
                       sigma_criteria_check)
-from .formula import Exists, Formula, ParseError, parse, quantifier_depth
+from .formula import Exists, Formula, parse, quantifier_depth
 from .lattice import gordon_check, rat
 from .pnfin import BUILTIN_CHAINS, chain_from_spec
 
@@ -469,11 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report: RunReport = args.handler(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError,
-            contfrac.PeriodDetectionError) as exc:
+    except (ValueError, OSError, KeyError, contfrac.PeriodDetectionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if args.json:

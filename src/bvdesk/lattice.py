@@ -90,7 +90,8 @@ class LatticeVector:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in self.coords))
 
     @property
     def dim(self) -> int:

@@ -78,7 +78,10 @@ class GaussianRational:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, str)):
-            other = GaussianRational.of(other)
+            try:
+                other = GaussianRational.of(other)
+            except (ValueError, ZeroDivisionError):  # a string that is no rational
+                return NotImplemented
         if not isinstance(other, GaussianRational):
             return NotImplemented
         return self.re == other.re and self.im == other.im

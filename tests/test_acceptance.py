@@ -2,10 +2,19 @@
 tolerance (exact, except for the few runtime ceilings that are part of the
 criteria).  One pass/fail line is printed per criterion."""
 
+import random
+import re
+
 import pytest
 
+from bvdesk import acceptance
 from bvdesk.acceptance import (ALL_CRITERIA, DEFAULT_SEED, CriterionResult,
                                seconds_text)
+
+
+def number_in_name(criterion) -> int:
+    # perfbench/tracing.py names each criterion's span from this number
+    return int(re.match(r"criterion_(\d+)_", criterion.__name__).group(1))
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,
@@ -14,6 +23,35 @@ def test_acceptance_criterion(criterion):
     result = criterion(DEFAULT_SEED)
     print(result.line())
     assert result.passed, result.detail
+    assert result.number == number_in_name(criterion)
+
+
+def test_criteria_are_named_by_their_numbers_in_order():
+    assert [number_in_name(c) for c in ALL_CRITERIA] == list(range(1, 14))
+
+
+def test_runner_seeds_times_and_enforces_the_ceiling(monkeypatch):
+    now = [0]
+    monkeypatch.setattr(acceptance.time, "monotonic_ns", lambda: now[0])
+
+    def criterion(number, takes_ns, passed, detail, ceiling_s=None):
+        def check(rng):
+            assert rng.random() == random.Random(5 + 7919 * number).random()
+            now[0] += takes_ns
+            return passed, detail
+        return acceptance._criterion(number, "fake", ceiling_s)(check)
+
+    second = 10 ** 9
+    over = criterion(9, 30 * second, True, "ok", ceiling_s=30)
+    assert over.__name__ == "check"
+    assert over(5) == CriterionResult(9, "fake", False,
+                                      "ok; runtime ceiling 30s exceeded", 30 * second)
+    under = criterion(3, 30 * second - 1, True, "ok", ceiling_s=30)
+    assert under(5) == CriterionResult(3, "fake", True, "ok", 30 * second - 1)
+    failed = criterion(4, 40 * second, False, "broke", ceiling_s=30)
+    assert failed(5) == CriterionResult(4, "fake", False, "broke", 40 * second)
+    unbounded = criterion(5, 10 ** 6 * second, True, "ok")
+    assert unbounded(5) == CriterionResult(5, "fake", True, "ok", 10 ** 6 * second)
 
 
 def test_timings_render_from_integer_nanoseconds():

@@ -48,6 +48,13 @@ class TestVectorOps:
             y = LatticeVector(tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)))
             assert x.mul(y).is_zero() == x.disjoint(y)
 
+    def test_fraction_coordinates_are_not_rewrapped(self):
+        half = Fraction(1, 2)
+        x = LatticeVector((half, 3, "-1/4"))
+        assert x.coords[0] is half
+        assert all(type(c) is Fraction for c in x.coords)
+        assert x.coords[1:] == (Fraction(3), Fraction(-1, 4))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             L2.vector([1, 2]).add(L3.vector([1, 2, 3]))

@@ -483,6 +483,10 @@ class TestGaussianRational:
         assert G(2) == 2
         assert G(2) == Fraction(2)
         assert G(2, 1) != 2
+        assert G(1) == "1" and G(Fraction(1, 2)) == "1/2"
+        # a string that is no rational compares unequal instead of raising
+        assert not G(1) == "x" and G(1) != "x"
+        assert G(1) != "1/0"
 
     def test_parts_are_fractions_and_are_not_rewrapped(self):
         third = Fraction(1, 3)
