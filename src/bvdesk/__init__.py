@@ -17,7 +17,8 @@ Subpackages by theme:
 - :mod:`bvdesk.contfrac` -- exact continued fractions of rationals and
   quadratic surds, with atomwise mixed expansions
 - :mod:`bvdesk.pnfin` -- pseudo-intersections of decreasing chains of
-  infinite subsets of the naturals
+  infinite subsets of the naturals, given as closed-form levels
+  (arithmetic progressions, the primes from the n-th on)
 - :mod:`bvdesk.acceptance` -- the seeded acceptance battery
 - :mod:`bvdesk.cli` -- the batch command-line front end
 """
@@ -38,7 +39,7 @@ from .operators import (automorphism_check, bilinear_report,
                         classify_endomorphism, derivation_space,
                         is_band_preserving, is_separately_band_preserving,
                         multiplier_of)
-from .pnfin import DecreasingChain, InfiniteSubsetStream, pseudo_intersection, verify_decreasing
+from .pnfin import DecreasingChain, pseudo_intersection, verify_decreasing
 from .refinement import build_tower, level_partitions, refine_report, refined_function
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Pseudo-intersections of decreasing chains of infinite subsets of N.
 
-Infinite sets are represented only by strictly increasing total enumerators
-(1-based index -> natural number); arbitrary membership predicates are
-rejected by design, so membership and "least element above m" are decidable
-by monotone search over indices.  Strictness is verified on every prefix
-actually enumerated; inclusion between chain levels is verified on finite
-prefixes up to an explicit horizon, and reports state that horizon rather
-than claiming the full inclusion.
+Infinite sets are represented only by levels that know their shape: an
+arithmetic progression (first, step), or the primes from the n-th onward,
+read from one shared prime table.  Each answers ``element(k)`` (1-based),
+``contains(m)``, ``least_above(m, horizon)`` and ``prefix(horizon)`` exactly,
+by arithmetic or bisection; nothing is memoized per level.
+Inclusion between chain levels is verified on finite prefixes up to an
+explicit horizon, and reports state that horizon rather than claiming the
+full inclusion.  Any object with those four methods can stand as a level.
 
 The pseudo-intersection of a decreasing chain b_1 >= b_2 >= ... is built by
 
@@ -19,11 +20,11 @@ only in the finitely many elements picked before stage n.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import eq, ge
-from typing import Callable
+from itertools import filterfalse, repeat
+from operator import lt
+from typing import Callable, Protocol, Sequence
 
 
 class HorizonError(ValueError):
@@ -31,188 +32,91 @@ class HorizonError(ValueError):
 
 
 class StrictnessError(ValueError):
-    """Raised when an enumerator fails to be strictly increasing."""
+    """Raised when a level's elements fail to be strictly increasing."""
 
 
-#: Largest number of elements one bulk extension of a prefix enumerates
-#: beyond what is asked for; bounds the overshoot of a value-driven search.
-_CHUNK = 512
+class Level(Protocol):
+    """An infinite subset of N, listed in increasing order from index 1."""
 
-
-class InfiniteSubsetStream:
-    """A strictly increasing enumerator with a memoized, checked prefix.
-
-    Elements 1..n are held densely in a list, extended in bulk; each
-    extension checks its new values, and the one before them, for being
-    naturals in strictly increasing order.  Elements beyond the prefix that
-    galloping or bisection reaches are kept in a small dict, checked
-    against whichever neighbours are known.
-    """
-
-    def __init__(self, enumerator: Callable[[int], int], name: str = "stream"):
-        self.name = name
-        self._enumerator = enumerator
-        self._prefix: list[int] = []
-        self._far: dict[int, int] = {}
+    name: str
 
     def element(self, k: int) -> int:
         """The k-th element (1-based)."""
-        if k < 1:
-            raise ValueError("indices are 1-based")
-        prefix = self._prefix
-        if k <= len(prefix):
-            return prefix[k - 1]
-        if k == len(prefix) + 1:
-            self.check_prefix(k)
-            return prefix[k - 1]
-        value = self._far.get(k)
-        if value is None:
-            value = self._enumerator(k)
-            self._check_values(k, self._far.get(k - 1, -1), (value,))
-            nxt = self._far.get(k + 1)
-            if nxt is not None and value >= nxt:
-                raise self._not_increasing(k, value, nxt)
-            self._far[k] = value
-        return value
-
-    def check_prefix(self, horizon: int) -> None:
-        """Enumerate and check elements 1..horizon (memoized), reusing far elements."""
-        prefix, far = self._prefix, self._far
-        start = len(prefix) + 1
-        if horizon < start:
-            return
-        if len(far) < horizon - start:
-            absorbed = sorted(k for k in far if k <= horizon)
-        else:
-            absorbed = [k for k in range(start, horizon + 1) if k in far]
-        new: list[int] = []
-        for k in absorbed:
-            new += map(self._enumerator, range(start, k))
-            new.append(far[k])
-            start = k + 1
-        new += map(self._enumerator, range(start, horizon + 1))
-        last = prefix[-1] if prefix else -1
-        if (not all(map(isinstance, new, repeat(int)))
-                or last >= new[0] or any(map(ge, new, new[1:]))):
-            self._check_values(len(prefix) + 1, last, new)
-        nxt = far.get(horizon + 1)
-        if nxt is not None and new[-1] >= nxt:
-            raise self._not_increasing(horizon, new[-1], nxt)
-        for k in absorbed:
-            del far[k]
-        prefix += new
-
-    def _check_values(self, k: int, last: int, values) -> None:
-        """Check that the values of indices k, k+1, ... are naturals increasing
-        from ``last``; raise for the first that is not."""
-        for value in values:
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{self.name}: enumerator must produce naturals")
-            if last >= value:
-                raise self._not_increasing(k - 1, last, value)
-            last = value
-            k += 1
-
-    def _not_increasing(self, k: int, value: int, nxt: int) -> StrictnessError:
-        return StrictnessError(
-            f"{self.name}: enumerator({k}) = {value} >= enumerator({k + 1}) = {nxt}")
-
-    def membership(self, m: int, horizon: int) -> bool:
-        """True iff m appears among the first ``horizon`` elements.
-
-        Requires m <= element(horizon); larger queries raise
-        :class:`HorizonError` (enlarge the horizon to decide them).
-        """
-        self.check_prefix(horizon)
-        top = self.element(horizon)
-        if m > top:
-            raise HorizonError(f"{self.name}: {m} exceeds element({horizon}) = {top}")
-        prefix = self._prefix
-        return prefix[bisect_left(prefix, m, 0, horizon)] == m
 
     def contains(self, m: int) -> bool:
-        """Unbounded membership by galloping search over the total enumerator.
-
-        Sound because the enumerator is strictly increasing and total; only
-        O(log position) enumerator evaluations are made, so sparse levels of
-        closed-form chains stay cheap even at astronomically large values.
-        """
-        prefix = self._prefix
-        if prefix and m <= prefix[-1]:
-            return prefix[bisect_left(prefix, m)] == m
-        hi = 1
-        while (v := self.element(hi)) < m:
-            if hi > m:  # strictly increasing naturals have element(k) >= k - 1
-                raise StrictnessError(f"{self.name}: element({hi}) = {v} is below {m}")
-            hi *= 2
-        return self._index_of(m, hi) is not None
-
-    def _index_of(self, m: int, hi: int) -> int | None:
-        lo = 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            v = self.element(mid)
-            if v == m:
-                return mid
-            if v < m:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
+        """Whether m is an element."""
 
     def least_above(self, m: int, horizon: int) -> int:
-        """The least element exceeding m, searched within the horizon."""
-        self.check_prefix(min(horizon, 64))
-        prefix = self._prefix
-        n = min(len(prefix), max(horizon, 0))
-        if n and prefix[n - 1] > m:
-            return prefix[bisect_right(prefix, m, 0, n)]
+        """The least element exceeding m; :class:`HorizonError` unless it is
+        among the first ``horizon`` elements."""
+
+    def prefix(self, horizon: int) -> Sequence[int]:
+        """The first ``horizon`` elements (none when horizon <= 0)."""
+
+
+class Progression:
+    """The naturals first, first + step, first + 2 step, ... (step >= 1)."""
+
+    def __init__(self, first: int, step: int, name: str):
+        self.first, self.step, self.name = first, step, name
+
+    def element(self, k: int) -> int:
+        if k < 1:
+            raise ValueError("indices are 1-based")
+        return self.first + (k - 1) * self.step
+
+    def contains(self, m: int) -> bool:
+        return m >= self.first and (m - self.first) % self.step == 0
+
+    def least_above(self, m: int, horizon: int) -> int:
         if self.element(horizon) <= m:
             raise HorizonError(
                 f"{self.name}: no element above {m} within horizon {horizon}")
-        lo, hi = n + 1, horizon
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.element(mid) > m:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.element(lo)
+        if m < self.first:
+            return self.first
+        return m + self.step - (m - self.first) % self.step
 
-    def _first_missing(self, values: list[int]) -> int | None:
-        """The first of the increasing ``values`` that is not an element.
+    def prefix(self, horizon: int) -> range:
+        return range(self.first, self.first + max(horizon, 0) * self.step, self.step)
 
-        The prefix is extended in bounded chunks only as far as the values
-        up to the first missing one require.
-        """
-        prefix = self._prefix
-        i = 0
-        while i < len(values):
-            if not prefix or prefix[-1] < values[i]:
-                # a bounded chunk, at most doubling the prefix
-                self.check_prefix(len(prefix) + min(max(len(prefix), 16), _CHUNK))
-                continue
-            j = bisect_right(values, prefix[-1], i)
-            batch = values[i:j]
-            lo = bisect_left(prefix, batch[0])
-            merged = prefix[lo:bisect_right(prefix, batch[-1], lo)] + batch
-            merged.sort()  # merges the two increasing runs in one pass
-            # every value present pairs with its equal in the prefix
-            if sum(map(eq, merged, merged[1:])) != len(batch):
-                return next(v for v in batch if prefix[bisect_left(prefix, v)] != v)
-            i = j
-        return None
+
+class PrimesFrom:
+    """The primes from the n-th onward: a view of the shared prime table."""
+
+    def __init__(self, n: int):
+        self.offset = n - 1
+        self.name = f"primes-from-{n}"
+
+    def element(self, k: int) -> int:
+        if k < 1:
+            raise ValueError("indices are 1-based")
+        return nth_prime(self.offset + k)
+
+    def contains(self, m: int) -> bool:
+        count = _prime_count(m)
+        return count > self.offset and _PRIMES[count - 1] == m
+
+    def least_above(self, m: int, horizon: int) -> int:
+        if self.element(horizon) <= m:
+            raise HorizonError(
+                f"{self.name}: no element above {m} within horizon {horizon}")
+        return _PRIMES[bisect_right(_PRIMES, m, self.offset)]
+
+    def prefix(self, horizon: int) -> list[int]:
+        if horizon > 0:
+            self.element(horizon)  # grows the table, or refuses past the cap
+        return _PRIMES[self.offset:self.offset + max(horizon, 0)]
 
 
 @dataclass
 class DecreasingChain:
     """A chain n -> b_n (1-based) of nominally decreasing infinite subsets."""
 
-    level: Callable[[int], InfiniteSubsetStream]
+    level: Callable[[int], Level]
     name: str = "chain"
-    _levels: dict[int, InfiniteSubsetStream] = field(default_factory=dict)
+    _levels: dict[int, Level] = field(default_factory=dict)
 
-    def stream(self, n: int) -> InfiniteSubsetStream:
+    def stream(self, n: int) -> Level:
         if n < 1:
             raise ValueError("chain levels are 1-based")
         s = self._levels.get(n)
@@ -240,19 +144,57 @@ class DecreasingReport:
         }
 
 
+def _naturals(level: Level, values: Sequence[int]) -> Sequence[int]:
+    """``values``, read from ``level``, once checked to be naturals in strictly
+    increasing order; the first that is not is reported.  A ``range`` is
+    checked by its bounds, any other sequence element by element."""
+    if isinstance(values, range):
+        ok = values.start >= 0 and values.step > 0
+    else:
+        ok = (all(map(isinstance, values, repeat(int)))
+              and (not values or values[0] >= 0) and all(map(lt, values, values[1:])))
+    if not ok:
+        last = -1
+        for k, value in enumerate(values, 1):
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"{level.name}: element({k}) = {value!r} is not a natural")
+            if last >= value:
+                raise StrictnessError(
+                    f"{level.name}: element({k - 1}) = {last} >= element({k}) = {value}")
+            last = value
+    return values
+
+
+def _count_at_most(level: Level, top: int, guess: int) -> int:
+    """How many elements of ``level`` are at most ``top``: a search on
+    ``element`` that gallops out from index ``guess``, then bisects."""
+    lo, hi, step = 0, guess, 1
+    while level.element(hi) <= top:
+        if hi > top + 1:  # strictly increasing naturals have element(k) >= k - 1
+            _naturals(level, level.prefix(hi))
+            raise StrictnessError(f"{level.name}: element({hi}) is at most {top}")
+        lo, hi, step = hi, hi + step, 2 * step
+    return bisect_right(range(hi), top, lo + 1, hi, key=level.element) - 1
+
+
 def verify_decreasing(chain: DecreasingChain, depth: int, horizon: int) -> DecreasingReport:
     """Check b_{n+1} subset of b_n on prefixes, for n = 1 .. depth-1.
 
-    The first ``horizon`` elements of b_{n+1} are merged against b_n (whose
-    prefix is extended as far as those values require); the first element of
-    b_{n+1} missing from b_n is reported.
+    The first ``horizon`` elements of b_{n+1} are compared with the elements
+    of b_n up to the largest of them, both checked to be strictly increasing
+    naturals; the first element of b_{n+1} missing from b_n is reported.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
     for n in range(1, depth):
-        lower = chain.stream(n + 1)
-        lower.check_prefix(horizon)
-        missing = chain.stream(n)._first_missing(lower._prefix[:max(horizon, 0)])
+        upper, lower = chain.stream(n), chain.stream(n + 1)
+        values = _naturals(lower, lower.prefix(horizon))
+        if not values:
+            continue
+        above = _naturals(upper, upper.prefix(_count_at_most(upper, values[-1], len(values))))
+        # a range answers membership by arithmetic; other prefixes by hashing
+        member = above.__contains__ if isinstance(above, range) else set(above).__contains__
+        missing = next(filterfalse(member, values), None)
         if missing is not None:
             return DecreasingReport(ok=False, depth=depth, horizon=horizon,
                                     first_violation=(n, missing))
@@ -284,7 +226,7 @@ def pseudo_intersection(chain: DecreasingChain, count: int,
     Precondition: the chain passes the prefix inclusion check at the given
     horizon (verified here; failing chains raise).  The selection scans each
     level within the horizon; the guarantee m_k in b_n is then checked for
-    every pair n <= k by unbounded membership on the total enumerators.
+    every pair n <= k by exact membership on the levels.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -348,15 +290,28 @@ def _extend_primes() -> None:
     _PRIMES.extend(i for i, flag in enumerate(sieve) if flag)
 
 
+def _prime_count(m: int) -> int:
+    """The number of primes at most m, from the table grown as far as m.
+
+    Refused like :func:`nth_prime` when m lies beyond the
+    ``PRIME_INDEX_CAP``-th prime, which the table may not be grown to pass.
+    """
+    while _PRIMES[-1] < m and len(_PRIMES) < PRIME_INDEX_CAP:
+        _extend_primes()
+    top = min(len(_PRIMES), PRIME_INDEX_CAP)
+    if _PRIMES[top - 1] < m:
+        raise ValueError(f"prime index {top + 1} exceeds cap {PRIME_INDEX_CAP}")
+    return bisect_right(_PRIMES, m, 0, top)
+
+
 def dyadic_chain(base: int = 2) -> DecreasingChain:
     """Level n enumerates the positive multiples of base^n."""
     if base < 2:
         raise ValueError("base must be at least 2")
 
-    def level(n: int) -> InfiniteSubsetStream:
+    def level(n: int) -> Progression:
         step = base ** n
-        return InfiniteSubsetStream(lambda k, step=step: k * step,
-                                    name=f"multiples-of-{base}^{n}")
+        return Progression(step, step, f"multiples-of-{base}^{n}")
 
     return DecreasingChain(level=level, name="dyadic")
 
@@ -364,10 +319,8 @@ def dyadic_chain(base: int = 2) -> DecreasingChain:
 def tails_chain() -> DecreasingChain:
     """Level n enumerates {m : m > n}."""
 
-    def level(n: int) -> InfiniteSubsetStream:
-        return InfiniteSubsetStream(lambda k, n=n: n + k, name=f"tail-above-{n}")
-
-    return DecreasingChain(level=level, name="tails")
+    return DecreasingChain(level=lambda n: Progression(n + 1, 1, f"tail-above-{n}"),
+                           name="tails")
 
 
 def primes_thinned_chain() -> DecreasingChain:
@@ -376,12 +329,7 @@ def primes_thinned_chain() -> DecreasingChain:
     Each level drops one more initial prime, thinning the previous level
     while keeping the chain decreasing and every level infinite.
     """
-
-    def level(n: int) -> InfiniteSubsetStream:
-        return InfiniteSubsetStream(lambda k, n=n: nth_prime(n + k - 1),
-                                    name=f"primes-from-{n}")
-
-    return DecreasingChain(level=level, name="primes-thinned")
+    return DecreasingChain(level=PrimesFrom, name="primes-thinned")
 
 
 BUILTIN_CHAINS: dict[str, Callable[[], DecreasingChain]] = {

@@ -334,7 +334,7 @@ class TestPnfin:
     @pytest.mark.parametrize("count, horizon", [
         ("50", "10000"),  # criterion 12
         ("33", "5500"), ("37", "5500"), ("37", "4500"),  # the benchmark's small requests
-        ("590", "3"),  # about 1.5 s, the most the search term lets through
+        ("590", "3"),  # about 0.1 s, the most the search term lets through
     ])
     def test_search_work_under_cap_accepted(self, monkeypatch, family, count, horizon):
         monkeypatch.setattr(cli.pnfin, "pseudo_intersection", started)
@@ -505,8 +505,9 @@ def test_boundary_fuzz_value_strings(flag, text):
 
 
 #: Numbers that are cheap where a command accepts them, or out of range,
-#: above a cap or not numbers at all.  A ``pnfin pi --count`` in the thousands
-#: at a small horizon passes every cap and runs for seconds, so none is drawn.
+#: above a cap or not numbers at all.  A ``pnfin pi --count`` of a few hundred
+#: at a small horizon passes every cap and takes about 0.1 s, and one in the
+#: thousands is refused by the work cap; none is drawn, so each draw stays fast.
 SMALL = ["-1", "0", "1", "2", "3"]
 OUT = ["17", "10000000000", "-10000000000", "x", "2.5", ""]
 FILES = ["FILE", "/nonexistent/input.json"]

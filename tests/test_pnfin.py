@@ -1,12 +1,14 @@
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvdesk import pnfin
 from bvdesk.pnfin import (BUILTIN_CHAINS, DecreasingChain, DecreasingReport,
-                          HorizonError, InfiniteSubsetStream,
+                          HorizonError, PrimesFrom, Progression,
                           PseudoIntersectionResult, StrictnessError,
                           chain_from_spec, dyadic_chain,
                           nth_prime, primes_thinned_chain, pseudo_intersection,
@@ -14,7 +16,15 @@ from bvdesk.pnfin import (BUILTIN_CHAINS, DecreasingChain, DecreasingReport,
 
 
 def evens():
-    return InfiniteSubsetStream(lambda k: 2 * k, "evens")
+    return Progression(2, 2, "evens")
+
+
+def ref_evens():
+    return ReferenceStream(lambda k: 2 * k, "evens")
+
+
+def ref_odds():
+    return ReferenceStream(lambda k: 2 * k - 1, "odds")
 
 
 # -- reference oracle: the dict-per-index stream, checked on every element ---------
@@ -46,6 +56,11 @@ class ReferenceStream:
                 raise StrictnessError(f"{self.name}: not increasing at {k}")
         return value
 
+    def prefix(self, horizon):
+        """The first ``horizon`` values as the enumerator gives them, unchecked:
+        the caller checks them, as it must for any level."""
+        return [self._enumerator(k) for k in range(1, horizon + 1)]
+
     def check_prefix(self, horizon):
         if horizon <= self.checked_horizon:
             return
@@ -56,12 +71,6 @@ class ReferenceStream:
                 raise StrictnessError(f"{self.name}: not increasing at {k}")
             prev = cur
         self.checked_horizon = horizon
-
-    def membership(self, m, horizon):
-        self.check_prefix(horizon)
-        if m > self.element(horizon):
-            raise HorizonError(f"{self.name}: {m} beyond the horizon")
-        return self._index_of(m, horizon) is not None
 
     def contains(self, m):
         hi = 1
@@ -131,39 +140,24 @@ def reference_pseudo_intersection(chain, count, horizon):
     return PseudoIntersectionResult(tuple(elements), report, guarantee, horizon)
 
 
-class Counted:
-    """An enumerator wrapper that counts its calls."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, k):
-        self.calls += 1
-        return self.fn(k)
+def reference_chain(level_fn, name):
+    """A chain whose level n is a fresh reference stream over ``level_fn(n)``."""
+    return DecreasingChain(level=lambda n: ReferenceStream(level_fn(n), f"{name}-{n}"),
+                           name=name)
 
 
-def twin_chains(level_fn, name):
-    """The same chain of enumerators twice: new streams, reference streams.
-
-    ``level_fn(n)`` returns the enumerator of level n; the call counts of
-    both sides are kept per level.
-    """
-    counts = {"new": {}, "ref": {}}
-
-    def make(cls, side):
-        def level(n):
-            fn = Counted(level_fn(n))
-            counts[side][n] = fn
-            return cls(fn, f"{name}-{n}")
-        return DecreasingChain(level=level, name=name)
-
-    return make(InfiniteSubsetStream, "new"), make(ReferenceStream, "ref"), counts
+def family_enumerator(family, base, n):
+    """Level n of a built-in family as an enumerator, from its closed form."""
+    if family == "dyadic":
+        return lambda k: k * base ** n
+    if family == "tails":
+        return lambda k: n + k
+    return lambda k: nth_prime(n + k - 1)
 
 
-def builtin_level_fn(factory):
-    chain = factory()
-    return lambda n: chain.level(n)._enumerator
+def builtin_chain(family, base):
+    params = {"base": base} if family == "dyadic" else {}
+    return chain_from_spec({"family": family, "params": params})
 
 
 def random_level_fn(rng):
@@ -199,27 +193,38 @@ def outcome(fn, *args):
 
 class TestStream:
     def test_membership_examples(self):
-        assert evens().membership(6, 10)
-        assert not evens().membership(7, 10)
-        powers = InfiniteSubsetStream(lambda k: 2 ** k, "powers")
-        assert powers.membership(8, 5)
+        assert evens().contains(6)
+        assert not evens().contains(7)
+        assert not evens().contains(0)
+        assert dyadic_chain().stream(3).contains(8)
+        assert PrimesFrom(2).contains(3) and not PrimesFrom(3).contains(3)
 
     def test_membership_beyond_horizon(self):
+        # the prefix holds the first horizon elements; membership is unbounded
+        assert 20 in evens().prefix(10) and 22 not in evens().prefix(10)
+        assert evens().contains(100)
+        assert PrimesFrom(2).prefix(3) == [3, 5, 7]
         with pytest.raises(HorizonError):
-            evens().membership(100, 10)
+            evens().least_above(100, 10)
 
     def test_strictness_violation_detected(self):
-        constant = InfiniteSubsetStream(lambda k: 5, "constant")
-        with pytest.raises(StrictnessError):
-            constant.check_prefix(3)
+        # a level whose prefix is not increasing, below a level that holds it
+        constant = DecreasingChain(lambda n: evens() if n == 1
+                                   else ReferenceStream(lambda k: 6, "constant"))
+        with pytest.raises(StrictnessError, match="constant"):
+            verify_decreasing(constant, 2, 3)
 
     def test_non_natural_rejected(self):
-        with pytest.raises(ValueError):
-            InfiniteSubsetStream(lambda k: -k, "negatives").element(1)
+        negatives = DecreasingChain(lambda n: evens() if n == 1
+                                    else ReferenceStream(lambda k: -k, "negatives"))
+        with pytest.raises(ValueError, match="not a natural") as info:
+            verify_decreasing(negatives, 2, 3)
+        assert info.type is ValueError
 
     def test_least_above(self):
         assert evens().least_above(5, 100) == 6
         assert evens().least_above(6, 100) == 8
+        assert evens().least_above(-3, 1) == 2
         with pytest.raises(HorizonError):
             evens().least_above(1000, 10)
 
@@ -238,9 +243,7 @@ class TestVerifyDecreasing:
         assert verify_decreasing(tails_chain(), 5, 100).ok
 
     def test_evens_then_odds_fails_at_one(self):
-        chain = DecreasingChain(
-            lambda n: evens() if n == 1
-            else InfiniteSubsetStream(lambda k: 2 * k - 1, "odds"))
+        chain = DecreasingChain(lambda n: ref_evens() if n == 1 else ref_odds())
         report = verify_decreasing(chain, 2, 100)
         assert not report.ok
         assert report.first_violation == (1, 1)  # 1 is in b_2 but not in b_1
@@ -258,7 +261,7 @@ class TestPseudoIntersection:
         assert pseudo_intersection(tails_chain(), 4, 1000).elements == (2, 3, 4, 5)
 
     def test_constant_evens(self):
-        chain = DecreasingChain(lambda n: evens())
+        chain = DecreasingChain(lambda n: ref_evens())
         assert pseudo_intersection(chain, 3, 1000).elements == (2, 4, 6)
 
     def test_primes_thinned(self):
@@ -278,16 +281,14 @@ class TestPseudoIntersection:
         assert a == b
 
     def test_non_decreasing_chain_rejected(self):
-        chain = DecreasingChain(
-            lambda n: evens() if n == 1
-            else InfiniteSubsetStream(lambda k: 2 * k - 1, "odds"))
-        with pytest.raises(ValueError):
+        chain = DecreasingChain(lambda n: ref_evens() if n == 1 else ref_odds())
+        with pytest.raises(ValueError, match="chain is not decreasing"):
             pseudo_intersection(chain, 3, 100)
 
     def test_horizon_exhaustion(self):
         # the constant evens chain needs element index k at stage k, so a
         # two-element horizon cannot supply the third selection
-        chain = DecreasingChain(lambda n: evens())
+        chain = DecreasingChain(lambda n: ref_evens())
         with pytest.raises(HorizonError):
             pseudo_intersection(chain, 3, 2)
 
@@ -324,45 +325,87 @@ class TestBuiltins:
             chain_from_spec({"family": "tails", "params": {"step": 2}})
 
 
+def assert_level_matches(level, ref, ms, horizons, ks):
+    """Every query of a closed-form level against the reference stream:
+    value, or the type of the exception raised."""
+    for k in ks:
+        assert outcome(level.element, k) == outcome(ref.element, k), ("element", k)
+    for m in ms:
+        assert outcome(level.contains, m) == outcome(ref.contains, m), ("contains", m)
+        for horizon in horizons:
+            assert outcome(level.least_above, m, horizon) == \
+                outcome(ref.least_above, m, horizon), ("least_above", m, horizon)
+    for horizon in horizons:
+        assert outcome(lambda h: list(level.prefix(h)), horizon) == \
+            outcome(ref.prefix, horizon), ("prefix", horizon)
+
+
+class TestClosedFormLevels:
+    """Each built-in level against a reference stream over its closed form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(sorted(BUILTIN_CHAINS)), base=st.integers(2, 7),
+           n=st.integers(1, 60), data=st.data())
+    def test_levels_match_reference(self, family, base, n, data):
+        level = builtin_chain(family, base).stream(n)
+        ref = ReferenceStream(family_enumerator(family, base, n), level.name)
+        top = ref.element(64)
+        near = [ref.element(k) + d for k in (1, 2, 17, 64) for d in (-1, 0, 1)]
+        ms = near + data.draw(st.lists(st.integers(-2, 2 * top), max_size=6))
+        # index 0, horizons <= 0 (1-based indices refused before any horizon
+        # check), small horizons that the answers exceed, and large ones
+        horizons = [-1, 0, 1, 2] + data.draw(st.lists(st.integers(1, 3000), max_size=3))
+        ks = [-1, 0, 1] + data.draw(st.lists(st.integers(1, 5000), max_size=4))
+        assert_level_matches(level, ref, ms, horizons, ks)
+
+    def test_primes_level_past_the_cap(self, monkeypatch):
+        # a small cap and ceiling with a fresh table, so the sieve stays cheap
+        monkeypatch.setattr(pnfin, "PRIME_INDEX_CAP", 100)
+        monkeypatch.setattr(pnfin, "_SIEVE_CEILING", 1600)
+        monkeypatch.setattr(pnfin, "_PRIMES", [2, 3, 5, 7, 11, 13])
+        level, ref = PrimesFrom(60), ReferenceStream(family_enumerator("primes-thinned", 2, 60))
+        past = 100 - 60 + 2  # the 101st prime
+        for query, args in [("element", (past,)), ("prefix", (past,)),
+                            ("least_above", (5, past))]:
+            with pytest.raises(ValueError, match="exceeds cap"):
+                getattr(level, query)(*args)
+        assert len(pnfin._PRIMES) == 6  # refused before sieving
+        assert_level_matches(level, ref, [10 ** 6], [1, past - 1, past], [past - 1, past])
+        # the reference's gallop overshoots the cap below the 100th prime;
+        # the table answers up to it exactly
+        assert level.contains(nth_prime(100))
+        with pytest.raises(ValueError, match="exceeds cap"):
+            level.contains(nth_prime(100) + 1)
+        assert pnfin._PRIMES[-1] < 1600
+
+
 class TestAgainstReference:
-    """The list-prefix stream against the dict-per-index reference."""
+    """The library's chain functions against the element-by-element reference."""
 
-    @staticmethod
-    def assert_calls_bounded(counts):
-        # at most twice the reference's enumerations per level, plus a
-        # first chunk: extensions at most double the prefix
-        for n, ref in counts["ref"].items():
-            assert counts["new"][n].calls <= 2 * ref.calls + 16, n
-
-    def check_chain(self, level_fn, name, count, horizon, rng):
-        new, ref, counts = twin_chains(level_fn, name)
-        assert outcome(verify_decreasing, new, count, horizon) == \
-            outcome(reference_verify_decreasing, ref, count, horizon)
-        new, ref, counts = twin_chains(level_fn, name)
-        assert outcome(pseudo_intersection, new, count, horizon) == \
-            outcome(reference_pseudo_intersection, ref, count, horizon)
-        self.assert_calls_bounded(counts)
-        for n in (1, 2, count):
-            a, b = new.stream(n), ref.stream(n)
-            top = b.element(horizon)
-            for m in [rng.randrange(top + 2) for _ in range(20)] + [top, 8 * top]:
-                assert outcome(a.least_above, m, horizon) == outcome(b.least_above, m, horizon)
-                assert outcome(a.contains, m) == outcome(b.contains, m)
-                assert outcome(a.membership, m, horizon // 2) == \
-                    outcome(b.membership, m, horizon // 2)
-            for k in [rng.randrange(1, 8 * horizon) for _ in range(20)]:
-                assert a.element(k) == b.element(k)
+    def check_chain(self, chain_fn, level_fn, name, count, horizon):
+        """``chain_fn()`` builds the chain the library's functions get; the
+        reference's get fresh reference streams over ``level_fn``."""
+        assert outcome(verify_decreasing, chain_fn(), count, horizon) == \
+            outcome(reference_verify_decreasing, reference_chain(level_fn, name), count, horizon)
+        assert outcome(pseudo_intersection, chain_fn(), count, horizon) == \
+            outcome(reference_pseudo_intersection, reference_chain(level_fn, name),
+                    count, horizon)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CHAINS))
     def test_builtin_chains(self, name):
         rng = random.Random(name)
-        self.check_chain(builtin_level_fn(BUILTIN_CHAINS[name]), name, 12, 1500, rng)
+        for base in (2, 3, 7):
+            self.check_chain(lambda: builtin_chain(name, base),
+                             lambda n: family_enumerator(name, base, n), name,
+                             rng.randint(2, 40), rng.randint(1, 1500))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_chains(self, seed):
         rng = random.Random(seed)
-        self.check_chain(random_level_fn(rng), f"random{seed}", rng.randint(2, 8),
-                         rng.randint(1, 400), rng)
+        level_fn = random_level_fn(rng)
+        name = f"random{seed}"
+        self.check_chain(lambda: reference_chain(level_fn, name), level_fn, name,
+                         rng.randint(2, 8), rng.randint(1, 400))
 
     @pytest.mark.parametrize("enumerator", [
         lambda k: 5,                                  # constant
@@ -371,50 +414,33 @@ class TestAgainstReference:
         lambda k: "seven",                            # not a number at all
         lambda k: k if k != 40 else -1,               # negative deep in the prefix
         lambda k: k if k != 40 else 39,               # equal neighbours
-        lambda k: 2 * k if k != 1023 else 2048,       # fault at a far galloped index
+        lambda k: 2 * k if k != 1023 else 2048,       # equal neighbours far out
     ])
     def test_adversarial_enumerators(self, enumerator):
-        queries = [("check_prefix", 100), ("contains", 2048), ("contains", 3),
-                   ("least_above", 50, 10 ** 6), ("membership", 60, 100),
-                   ("element", 1023), ("element", 1)]
-        for name, *args in queries:
-            # the reference keeps unchecked values after a fault, so each
-            # query starts from fresh streams
-            a = InfiniteSubsetStream(enumerator, "adversary")
-            b = ReferenceStream(enumerator, "adversary")
-            got = outcome(getattr(a, name), *args)
-            assert got == outcome(getattr(b, name), *args), name
-            assert outcome(getattr(a, name), *args) == got, name
+        # an adversary below the naturals: the chain functions check the
+        # prefix it hands out and fail as the reference does
+        def level_fn(n):
+            return (lambda k: k - 1) if n == 1 else enumerator
+        for count, horizon in [(2, 1), (2, 39), (2, 100), (3, 100), (2, 2048)]:
+            self.check_chain(lambda: reference_chain(level_fn, "adversary"), level_fn,
+                             "adversary", count, horizon)
 
     def test_gallop_over_stalled_enumerator_refused(self):
         # element(k) >= k - 1 for strictly increasing naturals, so a gallop
-        # past index m that is still below m has found a fault (the
-        # reference gallops forever here)
-        s = InfiniteSubsetStream(lambda k: k if k < 4 else 5, "stalled")
-        with pytest.raises(StrictnessError):
-            s.contains(2048)
+        # past index top + 1 that is still at most top has found a fault; the
+        # stalled level checks nothing itself, so only that bound ends the search
+        def stalled(k):
+            return min(k, 5)
+        upper = SimpleNamespace(name="stalled", element=stalled,
+                                prefix=lambda horizon: list(map(stalled, range(1, horizon + 1))))
+        chain = DecreasingChain(lambda n: upper if n == 1 else evens())
+        with pytest.raises(StrictnessError, match="stalled"):
+            verify_decreasing(chain, 2, 100)
 
-    def test_far_fault_raises_strictness(self):
-        # f(1023) = f(1024) = 2048: galloping sees index 1024 first
-        def enumerator(k):
-            return 2 * k if k != 1023 else 2048
-        for cls in (InfiniteSubsetStream, ReferenceStream):
-            # the bisection meets the equal neighbour far beyond the prefix
-            with pytest.raises(StrictnessError):
-                cls(enumerator).contains(2048)
-            # a prefix grown up to the far element is checked against it
-            s = cls(enumerator)
-            assert not s.contains(2049)
-            with pytest.raises(StrictnessError):
-                s.check_prefix(1023)
-
-    def test_far_elements_absorbed_by_prefix(self):
-        s = InfiniteSubsetStream(lambda k: 3 * k)
-        assert s.contains(3 * 1000) and not s.contains(3 * 1000 + 1)
-        s.check_prefix(2000)
-        assert [s.element(k) for k in (1, 999, 1000, 1001, 2000)] == \
-            [3, 2997, 3000, 3003, 6000]
-        assert s.membership(3 * 1500, 2000)
+    def test_negative_progression_rejected(self):
+        chain = DecreasingChain(lambda n: evens() if n == 1 else Progression(-4, 2, "from-4"))
+        with pytest.raises(ValueError, match="not a natural"):
+            verify_decreasing(chain, 2, 10)
 
     def test_least_above_huge_horizon(self):
         start = time.perf_counter()
