@@ -11,6 +11,7 @@ Exit codes: 0 all verdicts pass, 1 property violation, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -68,21 +69,20 @@ class RunReport:
 #: the environment's sets and their hereditary members raised to the
 #: formula's quantifier depth.
 EVAL_CAP = 10 ** 5
-#: Largest ``count * horizon`` that ``pnfin pi`` may ask for: the chain check
-#: reads the first ``horizon`` elements of each of ``count`` levels.
+#: Largest ``count * horizon`` that ``pnfin pi`` may ask for; it keeps the
+#: prime index a primes-thinned check reads below ``pnfin.PRIME_INDEX_CAP``.
 PI_CAP = 10 ** 6
 #: Largest work estimate ``count * horizon * b + count^2 * bits`` that
 #: ``pnfin pi`` may start, on any chain; b is a dyadic chain's base and 2 for
-#: the other families.  The inclusion check makes ``count * horizon``
-#: membership tests: a modular test on a progression (dyadic, tails), a hash
-#: lookup among the primes up to the largest element checked (primes-thinned).
-#: The tail-membership check makes about ``count^2 / 2`` more, on numbers of
-#: up to ``bits`` bits: b^count on a dyadic chain, so
-#: ``bits = count * bitlength(b)``, and below 16 * count on the tails chain
-#: (count + 1) and the primes-thinned chain (the count-th prime), so
-#: ``bits = bitlength(16 * count)``.  The estimate bounds that work from
-#: above: the largest runs it admits (count 100 at horizon 10^4, count 590
-#: at horizon 3, base 1000 at count 40) take at most about 0.2 s.
+#: the other families.  The first term over-counts, as the inclusion check
+#: decides each pair of levels from their closed forms without listing them;
+#: the cap is kept, as restating it changes which requests are refused.  The
+#: tail-membership check makes about ``count^2 / 2`` tests on numbers of up
+#: to ``bits`` bits: ``count * bitlength(b)`` on a dyadic chain (b^count),
+#: ``bitlength(16 * count)`` on the tails (count + 1) and primes-thinned (the
+#: count-th prime) chains.  The largest runs the estimate admits (count 100
+#: at horizon 10^4, count 590 at horizon 3, base 1000 at count 40) take at
+#: most about 0.14 s.
 PI_WORK_CAP = 5 * 10 ** 6
 #: Most ``--trials`` that ``lattice gordon`` and ``algebra check`` may run.
 MAX_TRIALS = 10 ** 4
@@ -366,6 +366,7 @@ def cmd_suite_all(args) -> RunReport:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: handlers are bound by set_defaults
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")

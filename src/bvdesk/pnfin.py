@@ -3,11 +3,12 @@
 Infinite sets are represented only by levels that know their shape: an
 arithmetic progression (first, step), or the primes from the n-th onward,
 read from one shared prime table.  Each answers ``element(k)`` (1-based),
-``contains(m)``, ``least_above(m, horizon)`` and ``prefix(horizon)`` exactly,
-by arithmetic or bisection; nothing is memoized per level.
-Inclusion between chain levels is verified on finite prefixes up to an
-explicit horizon, and reports state that horizon rather than claiming the
-full inclusion.  Any object with those four methods can stand as a level.
+``contains(m)`` and ``least_above(m, horizon)`` exactly, by arithmetic or
+bisection; nothing is memoized per level.
+Inclusion between chain levels is decided on the first ``horizon`` elements
+of the lower level from the two closed forms, without listing them, and
+reports state that horizon rather than claiming the full inclusion.  The
+library takes no level of any other type.
 
 The pseudo-intersection of a decreasing chain b_1 >= b_2 >= ... is built by
 
@@ -22,9 +23,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
-from operator import lt
-from typing import Callable, Protocol, Sequence
+from itertools import compress, filterfalse
+from typing import Callable, Protocol
 
 
 class HorizonError(ValueError):
@@ -50,8 +50,9 @@ class Level(Protocol):
         """The least element exceeding m; :class:`HorizonError` unless it is
         among the first ``horizon`` elements."""
 
-    def prefix(self, horizon: int) -> Sequence[int]:
-        """The first ``horizon`` elements (none when horizon <= 0)."""
+    def first_outside(self, upper: Level, horizon: int) -> int | None:
+        """The first of the first ``horizon`` >= 1 elements that ``upper``, a
+        level of the same type, lacks; None when it holds them all."""
 
 
 class Progression:
@@ -59,6 +60,25 @@ class Progression:
 
     def __init__(self, first: int, step: int, name: str):
         self.first, self.step, self.name = first, step, name
+
+    def _check_naturals(self) -> None:
+        """Raise unless first >= 0 and step >= 1, naming the first element
+        that is not a natural or not above the one before."""
+        for k, value in (1, self.first), (2, self.first + self.step):
+            if value < 0:
+                raise ValueError(f"{self.name}: element({k}) = {value} is not a natural")
+        if self.step < 1:
+            raise StrictnessError(f"{self.name}: element(1) = {self.first} >= "
+                                  f"element(2) = {self.first + self.step}")
+
+    def first_outside(self, upper: Progression, horizon: int) -> int | None:
+        # a + k d lies in (a', d') for every k < horizon iff a does and, past
+        # k = 0, d' divides d; else a or a + d is the first one missing
+        if not upper.contains(self.first):
+            return self.first
+        if horizon > 1 and self.step % upper.step:
+            return self.first + self.step
+        return None
 
     def element(self, k: int) -> int:
         if k < 1:
@@ -107,6 +127,10 @@ class PrimesFrom:
             self.element(horizon)  # grows the table, or refuses past the cap
         return _PRIMES[self.offset:self.offset + max(horizon, 0)]
 
+    def first_outside(self, upper: PrimesFrom, horizon: int) -> int | None:
+        self.element(horizon)  # refuses past the cap, as listing the prefix would
+        return None if self.offset >= upper.offset else self.element(1)
+
 
 @dataclass
 class DecreasingChain:
@@ -144,57 +168,29 @@ class DecreasingReport:
         }
 
 
-def _naturals(level: Level, values: Sequence[int]) -> Sequence[int]:
-    """``values``, read from ``level``, once checked to be naturals in strictly
-    increasing order; the first that is not is reported.  A ``range`` is
-    checked by its bounds, any other sequence element by element."""
-    if isinstance(values, range):
-        ok = values.start >= 0 and values.step > 0
-    else:
-        ok = (all(map(isinstance, values, repeat(int)))
-              and (not values or values[0] >= 0) and all(map(lt, values, values[1:])))
-    if not ok:
-        last = -1
-        for k, value in enumerate(values, 1):
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{level.name}: element({k}) = {value!r} is not a natural")
-            if last >= value:
-                raise StrictnessError(
-                    f"{level.name}: element({k - 1}) = {last} >= element({k}) = {value}")
-            last = value
-    return values
-
-
-def _count_at_most(level: Level, top: int, guess: int) -> int:
-    """How many elements of ``level`` are at most ``top``: a search on
-    ``element`` that gallops out from index ``guess``, then bisects."""
-    lo, hi, step = 0, guess, 1
-    while level.element(hi) <= top:
-        if hi > top + 1:  # strictly increasing naturals have element(k) >= k - 1
-            _naturals(level, level.prefix(hi))
-            raise StrictnessError(f"{level.name}: element({hi}) is at most {top}")
-        lo, hi, step = hi, hi + step, 2 * step
-    return bisect_right(range(hi), top, lo + 1, hi, key=level.element) - 1
-
-
 def verify_decreasing(chain: DecreasingChain, depth: int, horizon: int) -> DecreasingReport:
     """Check b_{n+1} subset of b_n on prefixes, for n = 1 .. depth-1.
 
-    The first ``horizon`` elements of b_{n+1} are compared with the elements
-    of b_n up to the largest of them, both checked to be strictly increasing
-    naturals; the first element of b_{n+1} missing from b_n is reported.
+    Each pair of levels is decided from the closed forms, once both are
+    checked to be levels and each progression to list strictly increasing
+    naturals.  The first element of b_{n+1} missing from b_n is reported.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
     for n in range(1, depth):
         upper, lower = chain.stream(n), chain.stream(n + 1)
-        values = _naturals(lower, lower.prefix(horizon))
-        if not values:
+        for level in (lower, upper):
+            if isinstance(level, Progression):
+                level._check_naturals()
+            elif not isinstance(level, PrimesFrom):
+                raise TypeError(f"{chain.name}: a level must be a Progression or a "
+                                f"PrimesFrom, not {type(level).__name__}")
+        if horizon < 1:
             continue
-        above = _naturals(upper, upper.prefix(_count_at_most(upper, values[-1], len(values))))
-        # a range answers membership by arithmetic; other prefixes by hashing
-        member = above.__contains__ if isinstance(above, range) else set(above).__contains__
-        missing = next(filterfalse(member, values), None)
+        if type(lower) is type(upper):
+            missing = lower.first_outside(upper, horizon)
+        else:  # no built-in chain mixes the two types: one scan of the lower prefix
+            missing = next(filterfalse(upper.contains, lower.prefix(horizon)), None)
         if missing is not None:
             return DecreasingReport(ok=False, depth=depth, horizon=horizon,
                                     first_violation=(n, missing))
@@ -287,7 +283,7 @@ def _extend_primes() -> None:
         if sieve[i]:
             sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
     _PRIMES.clear()
-    _PRIMES.extend(i for i, flag in enumerate(sieve) if flag)
+    _PRIMES.extend(compress(range(limit + 1), sieve))
 
 
 def _prime_count(m: int) -> int:

@@ -432,6 +432,26 @@ def test_malformed_input_exits_2(argv, payload):
     assert time.perf_counter() - start < 1
 
 
+def test_one_parser_serves_every_request_alike():
+    """The parser is built once per process; a request run again after a
+    different request and two malformed ones gives the same stdout and exit
+    code, and ``--help`` and argparse's refusals read as before."""
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["pnfin", "pi", "--family", "tails", "--count", "5", "--horizon", "20"]
+    help_text = run_in_process(["pnfin", "pi", "--help"])
+    bad_argv = run_in_process(["pnfin", "pi", "--count", "many"])
+    assert help_text[0] == 0 and help_text[1].startswith("usage: bvdesk pnfin pi")
+    assert bad_argv[0] == 2 and "argument --count: invalid int value: 'many'" in bad_argv[2]
+    for mode in ([], ["--json"]):
+        first = run_in_process(argv + mode)
+        assert run_in_process(["cf", "expand", "--value", "3/7"] + mode)[0] == 0
+        assert run_in_process(MALFORMED[0][0] + mode, MALFORMED[0][1])[0] == 2
+        assert run_in_process(["pnfin", "pi", "--count", "many"] + mode) == bad_argv
+        assert run_in_process(argv + mode)[:2] == first[:2]
+        assert first[0] == 0
+    assert run_in_process(["pnfin", "pi", "--help"]) == help_text
+
+
 def assert_boundary_holds(argv, payload=None):
     """No exception escapes, the exit code is 0, 1 or 2, stderr holds no
     traceback, and the --json report is the same on a rerun."""

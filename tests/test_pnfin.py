@@ -19,12 +19,8 @@ def evens():
     return Progression(2, 2, "evens")
 
 
-def ref_evens():
-    return ReferenceStream(lambda k: 2 * k, "evens")
-
-
-def ref_odds():
-    return ReferenceStream(lambda k: 2 * k - 1, "odds")
+def odds():
+    return Progression(1, 2, "odds")
 
 
 # -- reference oracle: the dict-per-index stream, checked on every element ---------
@@ -160,26 +156,43 @@ def builtin_chain(family, base):
     return chain_from_spec({"family": family, "params": params})
 
 
-def random_level_fn(rng):
-    """Random strictly increasing levels, each a thinning of the one before
-    (a(k) = c*k + jitter below c), with an occasional level that is shifted
-    off its predecessor so the chain stops being decreasing there."""
-    c = rng.randint(1, 5)
-    mult, salt = rng.randrange(1, 10 ** 6), rng.randrange(10 ** 6)
-    plans = [(rng.choice((1, 1, 2, 3)), rng.randint(0, 2), rng.random() < 0.1)
-             for _ in range(40)]
+def enumerator_of(level):
+    """A closed-form level as an enumerator, for the reference stream."""
+    if isinstance(level, Progression):
+        return lambda k: level.first + (k - 1) * level.step
+    return lambda k: nth_prime(level.offset + k)
 
-    def base(k):
-        return c * k + (k * mult + salt) % c
 
-    def level_fn(n):
-        fn = base
-        for step, offset, shifted in plans[:n - 1]:
-            fn = (lambda k, f=fn, s=step, o=offset: f(s * k + o)) if not shifted \
-                else (lambda k, f=fn: f(k) + 1)
-        return fn
+def mirror(chain):
+    """A reference chain over the closed forms of ``chain``'s levels."""
+    return reference_chain(lambda n: enumerator_of(chain.stream(n)), chain.name)
 
-    return level_fn
+
+def progression_of(enumerator, name):
+    """The progression whose first two elements are the enumerator's."""
+    return Progression(enumerator(1), enumerator(2) - enumerator(1), name)
+
+
+def random_progression_below(rng, upper, name):
+    """A random progression that nests in ``upper``, starts outside it, or
+    starts inside it with a step that ``upper``'s step does not divide."""
+    a, d = upper.first + upper.step * rng.randint(0, 4), upper.step * rng.randint(1, 3)
+    kind = rng.choice(("nests", "nests", "misses first", "misses second"))
+    if kind == "misses first" and upper.step > 1:
+        a += rng.randint(1, upper.step - 1)
+    elif kind == "misses first" and upper.first > 0:
+        a = rng.randint(0, upper.first - 1)
+    elif kind == "misses second" and upper.step > 1:
+        d += rng.randint(1, upper.step - 1)
+    return Progression(a, d, name)
+
+
+def random_progression_chain(rng, depth, name):
+    """Level 1 a random progression; each next level one below the last."""
+    levels = [Progression(rng.randint(0, 9), rng.randint(1, 5), f"{name}-1")]
+    for n in range(2, depth + 1):
+        levels.append(random_progression_below(rng, levels[-1], f"{name}-{n}"))
+    return DecreasingChain(lambda n: levels[n - 1], name=name)
 
 
 def outcome(fn, *args):
@@ -208,18 +221,26 @@ class TestStream:
             evens().least_above(100, 10)
 
     def test_strictness_violation_detected(self):
-        # a level whose prefix is not increasing, below a level that holds it
-        constant = DecreasingChain(lambda n: evens() if n == 1
-                                   else ReferenceStream(lambda k: 6, "constant"))
-        with pytest.raises(StrictnessError, match="constant"):
-            verify_decreasing(constant, 2, 3)
+        # a level that is not increasing, below a level that holds its first
+        # element; the step is checked at every horizon, even one element
+        for step, text in [(0, "element\\(1\\) = 6 >= element\\(2\\) = 6"),
+                           (-2, "element\\(1\\) = 6 >= element\\(2\\) = 4")]:
+            constant = DecreasingChain(lambda n: evens() if n == 1
+                                       else Progression(6, step, "constant"))
+            for horizon in (1, 3):
+                with pytest.raises(StrictnessError, match="constant: " + text):
+                    verify_decreasing(constant, 2, horizon)
 
     def test_non_natural_rejected(self):
         negatives = DecreasingChain(lambda n: evens() if n == 1
-                                    else ReferenceStream(lambda k: -k, "negatives"))
-        with pytest.raises(ValueError, match="not a natural") as info:
+                                    else Progression(-1, -1, "negatives"))
+        with pytest.raises(ValueError, match="element\\(1\\) = -1 is not a natural") as info:
             verify_decreasing(negatives, 2, 3)
         assert info.type is ValueError
+        # a decreasing progression whose second element is already negative
+        down = DecreasingChain(lambda n: evens() if n == 1 else Progression(1, -2, "down"))
+        with pytest.raises(ValueError, match="down: element\\(2\\) = -1 is not a natural"):
+            verify_decreasing(down, 2, 3)
 
     def test_least_above(self):
         assert evens().least_above(5, 100) == 6
@@ -243,10 +264,17 @@ class TestVerifyDecreasing:
         assert verify_decreasing(tails_chain(), 5, 100).ok
 
     def test_evens_then_odds_fails_at_one(self):
-        chain = DecreasingChain(lambda n: ref_evens() if n == 1 else ref_odds())
+        chain = DecreasingChain(lambda n: evens() if n == 1 else odds())
         report = verify_decreasing(chain, 2, 100)
         assert not report.ok
         assert report.first_violation == (1, 1)  # 1 is in b_2 but not in b_1
+
+    def test_horizons_below_one_pass(self):
+        # no element is checked, so even a chain that is not decreasing passes
+        for chain in (dyadic_chain(), primes_thinned_chain(),
+                      DecreasingChain(lambda n: evens() if n == 1 else odds())):
+            for horizon in (0, -3):
+                assert verify_decreasing(chain, 4, horizon).ok
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -261,7 +289,7 @@ class TestPseudoIntersection:
         assert pseudo_intersection(tails_chain(), 4, 1000).elements == (2, 3, 4, 5)
 
     def test_constant_evens(self):
-        chain = DecreasingChain(lambda n: ref_evens())
+        chain = DecreasingChain(lambda n: evens())
         assert pseudo_intersection(chain, 3, 1000).elements == (2, 4, 6)
 
     def test_primes_thinned(self):
@@ -281,14 +309,14 @@ class TestPseudoIntersection:
         assert a == b
 
     def test_non_decreasing_chain_rejected(self):
-        chain = DecreasingChain(lambda n: ref_evens() if n == 1 else ref_odds())
+        chain = DecreasingChain(lambda n: evens() if n == 1 else odds())
         with pytest.raises(ValueError, match="chain is not decreasing"):
             pseudo_intersection(chain, 3, 100)
 
     def test_horizon_exhaustion(self):
         # the constant evens chain needs element index k at stage k, so a
         # two-element horizon cannot supply the third selection
-        chain = DecreasingChain(lambda n: ref_evens())
+        chain = DecreasingChain(lambda n: evens())
         with pytest.raises(HorizonError):
             pseudo_intersection(chain, 3, 2)
 
@@ -401,46 +429,126 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_chains(self, seed):
+        # random progression chains, nesting or not, against the reference
+        # over the same closed forms
         rng = random.Random(seed)
-        level_fn = random_level_fn(rng)
-        name = f"random{seed}"
-        self.check_chain(lambda: reference_chain(level_fn, name), level_fn, name,
-                         rng.randint(2, 8), rng.randint(1, 400))
+        depth, horizon = rng.randint(2, 8), rng.choice((1, 2, rng.randint(1, 400)))
+        chain = random_progression_chain(rng, depth, f"random{seed}")
+        for count in range(2, depth + 1):
+            assert outcome(verify_decreasing, chain, count, horizon) == \
+                outcome(reference_verify_decreasing, mirror(chain), count, horizon)
+            assert outcome(pseudo_intersection, chain, count, horizon) == \
+                outcome(reference_pseudo_intersection, mirror(chain), count, horizon)
+
+    def test_progression_pairs(self):
+        # nesting or not, at horizon 1 and above: the first missing element
+        # is the first element or the second, as the reference finds it
+        rng = random.Random(26)
+        seen = set()
+        for trial in range(600):
+            upper = Progression(rng.randint(0, 12), rng.randint(1, 6), "upper")
+            lower = random_progression_below(rng, upper, "lower")
+            horizon = rng.choice((1, 2, 3, rng.randint(1, 60)))
+            chain = DecreasingChain(lambda n: upper if n == 1 else lower)
+            report = verify_decreasing(chain, 2, horizon)
+            assert report == reference_verify_decreasing(mirror(chain), 2, horizon), trial
+            missing = report.first_violation and report.first_violation[1]
+            seen.add((horizon == 1, {None: None, lower.first: "a",
+                                     lower.first + lower.step: "a + d"}[missing]))
+        assert seen == {(h1, kind) for h1 in (True, False) for kind in (None, "a")} \
+            | {(False, "a + d")}
+
+    def test_primes_views_at_any_two_offsets(self):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                chain = DecreasingChain({1: PrimesFrom(n), 2: PrimesFrom(m)}.get)
+                for horizon in (1, 2, 7, 50):
+                    report = verify_decreasing(chain, 2, horizon)
+                    assert report == reference_verify_decreasing(mirror(chain), 2, horizon)
+                    assert report.ok == (m >= n)
+
+    @pytest.mark.parametrize("upper, lower, missing", [
+        (Progression(2, 1, "from-2"), PrimesFrom(1), None),
+        (Progression(3, 2, "odd-from-3"), PrimesFrom(1), 2),
+        (PrimesFrom(2), Progression(3, 2, "odd-from-3"), 9),
+        (PrimesFrom(1), Progression(2, 1, "from-2"), 4),
+    ])
+    def test_mixed_pairs(self, upper, lower, missing):
+        # no built-in chain mixes the two level types; a mixed pair is scanned
+        chain = DecreasingChain({1: upper, 2: lower}.get)
+        for horizon in (1, 3, 40):
+            report = verify_decreasing(chain, 2, horizon)
+            assert report == reference_verify_decreasing(mirror(chain), 2, horizon)
+        assert report.first_violation == (None if missing is None else (1, missing))
 
     @pytest.mark.parametrize("enumerator", [
         lambda k: 5,                                  # constant
         lambda k: -k,                                 # negative
-        lambda k: k / 2,                              # not an int
-        lambda k: "seven",                            # not a number at all
-        lambda k: k if k != 40 else -1,               # negative deep in the prefix
-        lambda k: k if k != 40 else 39,               # equal neighbours
-        lambda k: 2 * k if k != 1023 else 2048,       # equal neighbours far out
+        lambda k: 40 - k,                             # decreasing naturals
+        lambda k: 1 - k,                              # natural, then negative
+        lambda k: k - 2,                              # increasing from a negative
+        lambda k: 2 - 2 * k,                          # zero, then negative
+        lambda k: 10 ** 6 - 10 ** 5 * k,              # decreasing far out
     ])
     def test_adversarial_enumerators(self, enumerator):
-        # an adversary below the naturals: the chain functions check the
-        # prefix it hands out and fail as the reference does
+        # an adversary below the naturals, as a progression with the
+        # enumerator's closed form: the chain functions refuse it as the
+        # reference does once the reference lists its second element, and
+        # at horizon 1 as they do at horizon 2, since the step is checked
         def level_fn(n):
             return (lambda k: k - 1) if n == 1 else enumerator
-        for count, horizon in [(2, 1), (2, 39), (2, 100), (3, 100), (2, 2048)]:
-            self.check_chain(lambda: reference_chain(level_fn, "adversary"), level_fn,
-                             "adversary", count, horizon)
+
+        def chain_fn():
+            return DecreasingChain(lambda n: progression_of(level_fn(n), "adversary"))
+        for count, horizon in [(2, 2), (2, 39), (2, 100), (3, 100), (2, 2048)]:
+            self.check_chain(chain_fn, level_fn, "adversary", count, horizon)
+        assert outcome(verify_decreasing, chain_fn(), 2, 1) == \
+            outcome(verify_decreasing, chain_fn(), 2, 2)
+        assert outcome(verify_decreasing, chain_fn(), 2, 2) in (ValueError, StrictnessError)
 
     def test_gallop_over_stalled_enumerator_refused(self):
-        # element(k) >= k - 1 for strictly increasing naturals, so a gallop
-        # past index top + 1 that is still at most top has found a fault; the
-        # stalled level checks nothing itself, so only that bound ends the search
+        # a level of any other type is refused before any of its elements is
+        # read, so no search can run on a level that checks nothing itself
         def stalled(k):
-            return min(k, 5)
-        upper = SimpleNamespace(name="stalled", element=stalled,
-                                prefix=lambda horizon: list(map(stalled, range(1, horizon + 1))))
-        chain = DecreasingChain(lambda n: upper if n == 1 else evens())
-        with pytest.raises(StrictnessError, match="stalled"):
-            verify_decreasing(chain, 2, 100)
+            raise AssertionError("read an element of a refused level")
+        upper = SimpleNamespace(name="stalled", element=stalled, contains=stalled,
+                                prefix=stalled)
+        for chain in (DecreasingChain(lambda n: upper if n == 1 else evens()),
+                      DecreasingChain(lambda n: evens() if n == 1 else upper),
+                      DecreasingChain(lambda n: ReferenceStream(lambda k: 2 * k))):
+            with pytest.raises(TypeError, match="Progression or a PrimesFrom"):
+                verify_decreasing(chain, 2, 100)
+            with pytest.raises(TypeError):
+                pseudo_intersection(chain, 3, 100)
 
     def test_negative_progression_rejected(self):
-        chain = DecreasingChain(lambda n: evens() if n == 1 else Progression(-4, 2, "from-4"))
-        with pytest.raises(ValueError, match="not a natural"):
-            verify_decreasing(chain, 2, 10)
+        negative = Progression(-4, 2, "from-4")
+        for levels in ({1: evens(), 2: negative}, {1: negative, 2: evens()},
+                       {1: negative, 2: PrimesFrom(1)}):
+            with pytest.raises(ValueError, match="from-4: element\\(1\\) = -4 is not a natural"):
+                verify_decreasing(DecreasingChain(levels.get), 2, 10)
+
+    def test_progression_chain_at_a_huge_horizon(self):
+        # no listing reaches 10^12 elements; the closed forms answer at once
+        start = time.perf_counter()
+        for factory in (dyadic_chain, tails_chain):
+            assert verify_decreasing(factory(), 50, 10 ** 12).ok
+        shifted = DecreasingChain(lambda n: Progression(2 ** n + (n == 30), 2 ** n, f"s{n}"))
+        assert verify_decreasing(shifted, 50, 10 ** 12).first_violation == (29, 2 ** 30 + 1)
+        assert time.perf_counter() - start < 1
+
+    def test_primes_refused_one_step_over_the_index_cap(self, monkeypatch):
+        # the lower level's last checked element is the primes' index
+        # depth - 1 + horizon; one step over the cap is refused with the
+        # cap's text, before the table grows past the cap's ceiling
+        monkeypatch.setattr(pnfin, "PRIME_INDEX_CAP", 100)
+        monkeypatch.setattr(pnfin, "_SIEVE_CEILING", 1600)
+        monkeypatch.setattr(pnfin, "_PRIMES", [2, 3, 5, 7, 11, 13])
+        for depth in (2, 5):
+            assert verify_decreasing(primes_thinned_chain(), depth, 101 - depth).ok
+            with pytest.raises(ValueError, match="^prime index 101 exceeds cap 100$"):
+                verify_decreasing(primes_thinned_chain(), depth, 102 - depth)
+        assert pnfin._PRIMES[-1] < 1600
 
     def test_least_above_huge_horizon(self):
         start = time.perf_counter()
