@@ -8,7 +8,8 @@ bisection; nothing is memoized per level.
 Inclusion between chain levels is decided on the first ``horizon`` elements
 of the lower level from the two closed forms, without listing them, and
 reports state that horizon rather than claiming the full inclusion.  The
-library takes no level of any other type.
+levels of one chain share one of these two types; the library takes no
+other level.
 
 The pseudo-intersection of a decreasing chain b_1 >= b_2 >= ... is built by
 
@@ -23,8 +24,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse
-from typing import Callable, Protocol
+from itertools import compress
+from typing import Callable
 
 
 class HorizonError(ValueError):
@@ -33,26 +34,6 @@ class HorizonError(ValueError):
 
 class StrictnessError(ValueError):
     """Raised when a level's elements fail to be strictly increasing."""
-
-
-class Level(Protocol):
-    """An infinite subset of N, listed in increasing order from index 1."""
-
-    name: str
-
-    def element(self, k: int) -> int:
-        """The k-th element (1-based)."""
-
-    def contains(self, m: int) -> bool:
-        """Whether m is an element."""
-
-    def least_above(self, m: int, horizon: int) -> int:
-        """The least element exceeding m; :class:`HorizonError` unless it is
-        among the first ``horizon`` elements."""
-
-    def first_outside(self, upper: Level, horizon: int) -> int | None:
-        """The first of the first ``horizon`` >= 1 elements that ``upper``, a
-        level of the same type, lacks; None when it holds them all."""
 
 
 class Progression:
@@ -72,6 +53,8 @@ class Progression:
                                   f"element(2) = {self.first + self.step}")
 
     def first_outside(self, upper: Progression, horizon: int) -> int | None:
+        """The first of the first ``horizon`` >= 1 elements that ``upper``
+        lacks; None when it holds them all."""
         # a + k d lies in (a', d') for every k < horizon iff a does and, past
         # k = 0, d' divides d; else a or a + d is the first one missing
         if not upper.contains(self.first):
@@ -81,6 +64,7 @@ class Progression:
         return None
 
     def element(self, k: int) -> int:
+        """The k-th element (1-based)."""
         if k < 1:
             raise ValueError("indices are 1-based")
         return self.first + (k - 1) * self.step
@@ -89,15 +73,14 @@ class Progression:
         return m >= self.first and (m - self.first) % self.step == 0
 
     def least_above(self, m: int, horizon: int) -> int:
+        """The least element exceeding m; :class:`HorizonError` unless it is
+        among the first ``horizon`` elements."""
         if self.element(horizon) <= m:
             raise HorizonError(
                 f"{self.name}: no element above {m} within horizon {horizon}")
         if m < self.first:
             return self.first
         return m + self.step - (m - self.first) % self.step
-
-    def prefix(self, horizon: int) -> range:
-        return range(self.first, self.first + max(horizon, 0) * self.step, self.step)
 
 
 class PrimesFrom:
@@ -122,14 +105,14 @@ class PrimesFrom:
                 f"{self.name}: no element above {m} within horizon {horizon}")
         return _PRIMES[bisect_right(_PRIMES, m, self.offset)]
 
-    def prefix(self, horizon: int) -> list[int]:
-        if horizon > 0:
-            self.element(horizon)  # grows the table, or refuses past the cap
-        return _PRIMES[self.offset:self.offset + max(horizon, 0)]
-
     def first_outside(self, upper: PrimesFrom, horizon: int) -> int | None:
-        self.element(horizon)  # refuses past the cap, as listing the prefix would
+        self.element(horizon)  # refuses if the horizon-th element is past PRIME_INDEX_CAP
         return None if self.offset >= upper.offset else self.element(1)
+
+
+#: A chain level: an infinite subset of N, listed in increasing order from
+#: index 1.
+Level = Progression | PrimesFrom
 
 
 @dataclass
@@ -172,8 +155,9 @@ def verify_decreasing(chain: DecreasingChain, depth: int, horizon: int) -> Decre
     """Check b_{n+1} subset of b_n on prefixes, for n = 1 .. depth-1.
 
     Each pair of levels is decided from the closed forms, once both are
-    checked to be levels and each progression to list strictly increasing
-    naturals.  The first element of b_{n+1} missing from b_n is reported.
+    checked to be levels of one type and each progression to list strictly
+    increasing naturals.  The first element of b_{n+1} missing from b_n is
+    reported.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -185,12 +169,13 @@ def verify_decreasing(chain: DecreasingChain, depth: int, horizon: int) -> Decre
             elif not isinstance(level, PrimesFrom):
                 raise TypeError(f"{chain.name}: a level must be a Progression or a "
                                 f"PrimesFrom, not {type(level).__name__}")
+        if type(lower) is not type(upper):
+            raise TypeError(f"{chain.name}: levels {n} and {n + 1} are a "
+                            f"{type(upper).__name__} and a {type(lower).__name__}; "
+                            f"the levels of a chain share one type")
         if horizon < 1:
             continue
-        if type(lower) is type(upper):
-            missing = lower.first_outside(upper, horizon)
-        else:  # no built-in chain mixes the two types: one scan of the lower prefix
-            missing = next(filterfalse(upper.contains, lower.prefix(horizon)), None)
+        missing = lower.first_outside(upper, horizon)
         if missing is not None:
             return DecreasingReport(ok=False, depth=depth, horizon=horizon,
                                     first_violation=(n, missing))

@@ -213,12 +213,13 @@ class TestStream:
         assert PrimesFrom(2).contains(3) and not PrimesFrom(3).contains(3)
 
     def test_membership_beyond_horizon(self):
-        # the prefix holds the first horizon elements; membership is unbounded
-        assert 20 in evens().prefix(10) and 22 not in evens().prefix(10)
+        # the horizon bounds least_above to the first horizon elements;
+        # membership is unbounded
+        assert evens().least_above(18, 10) == 20 == evens().element(10)
         assert evens().contains(100)
-        assert PrimesFrom(2).prefix(3) == [3, 5, 7]
+        assert [PrimesFrom(2).element(k) for k in (1, 2, 3)] == [3, 5, 7]
         with pytest.raises(HorizonError):
-            evens().least_above(100, 10)
+            evens().least_above(20, 10)
 
     def test_strictness_violation_detected(self):
         # a level that is not increasing, below a level that holds its first
@@ -363,9 +364,6 @@ def assert_level_matches(level, ref, ms, horizons, ks):
         for horizon in horizons:
             assert outcome(level.least_above, m, horizon) == \
                 outcome(ref.least_above, m, horizon), ("least_above", m, horizon)
-    for horizon in horizons:
-        assert outcome(lambda h: list(level.prefix(h)), horizon) == \
-            outcome(ref.prefix, horizon), ("prefix", horizon)
 
 
 class TestClosedFormLevels:
@@ -393,8 +391,8 @@ class TestClosedFormLevels:
         monkeypatch.setattr(pnfin, "_PRIMES", [2, 3, 5, 7, 11, 13])
         level, ref = PrimesFrom(60), ReferenceStream(family_enumerator("primes-thinned", 2, 60))
         past = 100 - 60 + 2  # the 101st prime
-        for query, args in [("element", (past,)), ("prefix", (past,)),
-                            ("least_above", (5, past))]:
+        for query, args in [("element", (past,)), ("least_above", (5, past)),
+                            ("first_outside", (PrimesFrom(1), past))]:
             with pytest.raises(ValueError, match="exceeds cap"):
                 getattr(level, query)(*args)
         assert len(pnfin._PRIMES) == 6  # refused before sieving
@@ -467,19 +465,23 @@ class TestAgainstReference:
                     assert report == reference_verify_decreasing(mirror(chain), 2, horizon)
                     assert report.ok == (m >= n)
 
-    @pytest.mark.parametrize("upper, lower, missing", [
-        (Progression(2, 1, "from-2"), PrimesFrom(1), None),
-        (Progression(3, 2, "odd-from-3"), PrimesFrom(1), 2),
-        (PrimesFrom(2), Progression(3, 2, "odd-from-3"), 9),
-        (PrimesFrom(1), Progression(2, 1, "from-2"), 4),
-    ])
-    def test_mixed_pairs(self, upper, lower, missing):
-        # no built-in chain mixes the two level types; a mixed pair is scanned
-        chain = DecreasingChain({1: upper, 2: lower}.get)
-        for horizon in (1, 3, 40):
-            report = verify_decreasing(chain, 2, horizon)
-            assert report == reference_verify_decreasing(mirror(chain), 2, horizon)
-        assert report.first_violation == (None if missing is None else (1, missing))
+    def test_mixed_pairs_refused(self, monkeypatch):
+        # no built-in chain mixes the two level types; a mixed pair is
+        # refused before any element of either level is read
+        def stalled(*args):
+            raise AssertionError("read an element of a refused pair")
+        for cls in (Progression, PrimesFrom):
+            for query in ("element", "contains", "least_above", "first_outside"):
+                monkeypatch.setattr(cls, query, stalled)
+        for upper, lower in [(Progression(2, 1, "from-2"), PrimesFrom(1)),
+                             (PrimesFrom(2), Progression(3, 2, "odd-from-3"))]:
+            chain = DecreasingChain({1: upper, 2: lower, 3: lower}.get, name="mixed")
+            for horizon in (0, 1, 40):
+                with pytest.raises(TypeError, match="mixed: levels 1 and 2 are a "
+                                   f"{type(upper).__name__} and a {type(lower).__name__}"):
+                    verify_decreasing(chain, 2, horizon)
+            with pytest.raises(TypeError, match="share one type"):
+                pseudo_intersection(chain, 3, 100)
 
     @pytest.mark.parametrize("enumerator", [
         lambda k: 5,                                  # constant
@@ -511,8 +513,7 @@ class TestAgainstReference:
         # read, so no search can run on a level that checks nothing itself
         def stalled(k):
             raise AssertionError("read an element of a refused level")
-        upper = SimpleNamespace(name="stalled", element=stalled, contains=stalled,
-                                prefix=stalled)
+        upper = SimpleNamespace(name="stalled", element=stalled, contains=stalled)
         for chain in (DecreasingChain(lambda n: upper if n == 1 else evens()),
                       DecreasingChain(lambda n: evens() if n == 1 else upper),
                       DecreasingChain(lambda n: ReferenceStream(lambda k: 2 * k))):
