@@ -38,6 +38,7 @@ from pathlib import Path
 
 from bvdesk import cli
 from bvdesk.cli import MAX_CONVERGENT_INDEX, MAX_MATRIX_ORDER, MAX_TRIALS
+from bvdesk.refinement import MAX_ATOMS
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "requests.json"
 SEED = 0
@@ -74,9 +75,10 @@ MALFORMED = [
     (["refine", "--covers", "FILE"], {"atoms": 3, "covers": [[{"atoms": ["0"]}]]}),
     (["refine", "--covers", "FILE"], {"atoms": True, "covers": [[{"atoms": [0]}]]}),
     (["refine", "--covers", "FILE"], {"atoms": 10 ** 6, "covers": [[{"atoms": [0]}]]}),
-    (["refine", "--covers", "FILE"],  # 2^23 blocks at the top level without the cap
-     {"atoms": 24, "covers": [[{"atoms": [q]}, {"atoms": [a for a in range(24) if a != q]}]
-                              for q in range(23)]}),
+    (["refine", "--covers", "FILE"],  # one atom over the cap, at the cap's height
+     {"atoms": MAX_ATOMS + 1,
+      "covers": [[{"atoms": [q]}, {"atoms": [a for a in range(MAX_ATOMS + 1) if a != q]}]
+                 for q in range(MAX_ATOMS)]}),
     (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], [1]),
     (["bvu", "eval", "--env", "FILE", "--formula", "x = x"], {"x": {"dom": 5}}),
     (["bvu", "eval", "--env", "FILE", "--formula", "x = x"],

@@ -61,14 +61,41 @@ def seconds_text(ns: int, places: int) -> str:
 # -- random generators ---------------------------------------------------------
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)`` without the argument checks of ``randrange``.
+
+    It draws what CPython's ``_randbelow_with_getrandbits`` draws: k-bit
+    words, k the bit length of n = hi - lo + 1, until one is below n.  So
+    the value and the generator's state after the call are those of
+    ``rng.randint``, and an empty range is refused with its text.
+    """
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range for randrange() ({lo}, {hi + 1}, {n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+#: The small rationals p/q the criteria draw, one shared object each.
+_FRACTIONS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)}
+
+
+def _fraction(p: int, q: int = 1) -> Fraction:
+    f = _FRACTIONS.get((p, q))
+    return Fraction(p, q) if f is None else f
+
+
 def random_boolelem(rng: random.Random, algebra: FiniteBooleanAlgebra) -> BoolElem:
-    return algebra.from_mask(rng.randrange(algebra.full_mask + 1))
+    return algebra.from_mask(_randint(rng, 0, algebra.full_mask))
 
 
 def random_partition(rng: random.Random, algebra: FiniteBooleanAlgebra) -> Partition:
     atoms = list(range(algebra.atom_count))
     rng.shuffle(atoms)
-    block_count = rng.randint(1, algebra.atom_count)
+    block_count = _randint(rng, 1, algebra.atom_count)
     blocks: list[list[int]] = [[] for _ in range(block_count)]
     for i, a in enumerate(atoms):
         blocks[i % block_count].append(a)
@@ -80,8 +107,8 @@ def random_bset(rng: random.Random, algebra: FiniteBooleanAlgebra,
     if max_rank == 0:
         return bset(algebra, ())
     pairs = []
-    for _ in range(rng.randint(0, max_children)):
-        child = random_bset(rng, algebra, rng.randint(0, max_rank - 1), max_children)
+    for _ in range(_randint(rng, 0, max_children)):
+        child = random_bset(rng, algebra, _randint(rng, 0, max_rank - 1), max_children)
         pairs.append((child, random_boolelem(rng, algebra)))
     return bset(algebra, pairs)
 
@@ -90,14 +117,14 @@ def random_vector(rng: random.Random, dim: int, *, nonneg: bool = False,
                   max_num: int = 9, max_den: int = 9) -> LatticeVector:
     lo = 0 if nonneg else -max_num
     return LatticeVector(tuple(
-        Fraction(rng.randint(lo, max_num), rng.randint(1, max_den))
+        _fraction(_randint(rng, lo, max_num), _randint(rng, 1, max_den))
         for _ in range(dim)))
 
 
 def random_cover(rng: random.Random, algebra: FiniteBooleanAlgebra) -> list[BoolElem]:
     members = []
-    for _ in range(rng.randint(1, 4)):
-        mask = rng.randrange(1, algebra.full_mask + 1)
+    for _ in range(_randint(rng, 1, 4)):
+        mask = _randint(rng, 1, algebra.full_mask)
         members.append(algebra.from_mask(mask))
     joined = algebra.sup(members)
     if not joined.is_one:
@@ -169,7 +196,7 @@ def criterion_1_truth_value_laws(rng: random.Random) -> tuple[bool, str]:
     trials = 334  # three fresh sets per trial: >= 1000 random B-valued sets
     checked = 0
     for _ in range(trials):
-        algebra = FiniteBooleanAlgebra(rng.randint(2, 8))
+        algebra = FiniteBooleanAlgebra(_randint(rng, 2, 8))
         x = random_bset(rng, algebra)
         y = random_bset(rng, algebra)
         z = random_bset(rng, algebra)
@@ -197,7 +224,7 @@ def criterion_1_truth_value_laws(rng: random.Random) -> tuple[bool, str]:
 def criterion_2_mixing_principle(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
-        algebra = FiniteBooleanAlgebra(rng.randint(2, 6))
+        algebra = FiniteBooleanAlgebra(_randint(rng, 2, 6))
         parts = random_partition(rng, algebra)
         xs = [random_bset(rng, algebra, max_rank=2) for _ in parts]
         mixed = mix(parts, xs)
@@ -233,14 +260,14 @@ def criterion_4_escher_rule(_rng: random.Random) -> tuple[bool, str]:
 def criterion_5_projection_truth_identities(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
-        dim = rng.randint(1, 12)
+        dim = _randint(rng, 1, 12)
         algebra = FiniteBooleanAlgebra(dim)
         b = random_boolelem(rng, algebra)
         x = random_vector(rng, dim)
         y = x if rng.random() < 0.2 else random_vector(rng, dim)
         if rng.random() < 0.3:
             # force partial coordinate agreement so both verdict branches occur
-            swap = rng.randrange(dim)
+            swap = _randint(rng, 0, dim - 1)
             y = LatticeVector(y.coords[:swap] + (x.coords[swap],) + y.coords[swap + 1:])
         if not gordon_check(b, x, y).ok:
             return False, f"failed for b={b!r}, x={x!r}, y={y!r}"
@@ -251,8 +278,8 @@ def criterion_5_projection_truth_identities(rng: random.Random) -> tuple[bool, s
 def criterion_6_multiplier_recovery(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
-        dim = rng.randint(1, 8)
-        diag = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
+        dim = _randint(rng, 1, 8)
+        diag = [_fraction(_randint(rng, -9, 9), _randint(rng, 1, 9)) for _ in range(dim)]
         m = ops.diagonal_matrix(diag)
         if not ops.is_band_preserving(m):
             return False, "diagonal flagged as non-preserving"
@@ -261,11 +288,11 @@ def criterion_6_multiplier_recovery(rng: random.Random) -> tuple[bool, str]:
         if ops.apply(m, x.coords) != g.mul(x).coords:
             return False, "T x != (T 1) * x"
     for _ in range(trials):
-        dim = rng.randint(2, 8)
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
-        i = rng.randrange(dim)
-        j = (i + rng.randint(1, dim - 1)) % dim
-        rows[i][j] = Fraction(rng.randint(1, 5))  # guarantee an off-diagonal entry
+        dim = _randint(rng, 2, 8)
+        rows = [[_fraction(_randint(rng, -3, 3)) for _ in range(dim)] for _ in range(dim)]
+        i = _randint(rng, 0, dim - 1)
+        j = (i + _randint(rng, 1, dim - 1)) % dim
+        rows[i][j] = _fraction(_randint(rng, 1, 5))  # guarantee an off-diagonal entry
         if ops.is_band_preserving(ops.matrix(rows)):
             return False, "non-diagonal accepted"
     return True, f"{trials} diagonal recoveries and {trials} non-diagonal rejections"
@@ -284,8 +311,8 @@ def criterion_7_derivations_trivial(_rng: random.Random) -> tuple[bool, str]:
 def criterion_8_endomorphisms_and_automorphisms(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
-        dim = rng.randint(1, 8)
-        idem = [GaussianRational(Fraction(rng.randint(0, 1))) for _ in range(dim)]
+        dim = _randint(rng, 1, 8)
+        idem = [GaussianRational(_fraction(_randint(rng, 0, 1))) for _ in range(dim)]
         verdict = ops.classify_endomorphism(ops.diagonal_matrix(idem))
         if verdict.kind != "band projection":
             return False, f"idempotent classified {verdict.kind!r}"
@@ -299,8 +326,8 @@ def criterion_8_endomorphisms_and_automorphisms(rng: random.Random) -> tuple[boo
             return False, f"automorphism verdict {auto.kind!r}, expected {expected!r}"
         # non-idempotent diagonals must be rejected as not multiplicative
         while True:
-            c = GaussianRational(Fraction(rng.randint(2, 9), rng.randint(1, 9)),
-                                 Fraction(rng.randint(0, 3)))
+            c = GaussianRational(_fraction(_randint(rng, 2, 9), _randint(rng, 1, 9)),
+                                 _fraction(_randint(rng, 0, 3)))
             if c * c != c:
                 break
         bad = ops.diagonal_matrix([c] + idem[1:])
@@ -314,8 +341,8 @@ def criterion_8_endomorphisms_and_automorphisms(rng: random.Random) -> tuple[boo
 def criterion_9_bilinear_classification(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
-        dim = rng.randint(1, 6)
-        w = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
+        dim = _randint(rng, 1, 6)
+        w = [_fraction(_randint(rng, -9, 9), _randint(rng, 1, 9)) for _ in range(dim)]
         entries = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for q in range(dim):
             entries[q][q][q] = w[q]
@@ -332,13 +359,13 @@ def criterion_9_bilinear_classification(rng: random.Random) -> tuple[bool, str]:
             return False, "b(x,y) != w*x*y"
     rejected = 0
     for _ in range(200):
-        dim = rng.randint(2, 5)
+        dim = _randint(rng, 2, 5)
         entries = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         nonzero = False
         for i in range(dim):
             for j in range(i + 1, dim):
                 for k in range(dim):
-                    v = Fraction(rng.randint(-2, 2))
+                    v = _fraction(_randint(rng, -2, 2))
                     entries[i][j][k] = v
                     entries[j][i][k] = -v
                     nonzero = nonzero or v != 0
@@ -363,7 +390,7 @@ def criterion_10_distributivity_criteria(rng: random.Random) -> tuple[bool, str]
                     return False, f"exhaustive case failed: {combo}"
                 count += 1
     for _ in range(1000):
-        a = FiniteBooleanAlgebra(rng.randint(2, 4))
+        a = FiniteBooleanAlgebra(_randint(rng, 2, 4))
         matrix = [[random_boolelem(rng, a) for _ in range(3)] for _ in range(3)]
         if not sigma_criteria_check(matrix).all_hold:
             return False, "random 3x3 case failed"
@@ -385,8 +412,8 @@ def criterion_11_refined_function(rng: random.Random) -> tuple[bool, str]:
     if not result.ok:
         return False, "fixture certificates failed"
     for _ in range(100):
-        a = FiniteBooleanAlgebra(rng.randint(2, 12))
-        covers = [random_cover(rng, a) for _ in range(rng.randint(1, 5))]
+        a = FiniteBooleanAlgebra(_randint(rng, 2, 12))
+        covers = [random_cover(rng, a) for _ in range(_randint(rng, 1, 5))]
         rep = refinement.refine_report(a, covers)
         if not all(rep.certificates):
             return False, "g not refined from an input cover"
@@ -411,8 +438,8 @@ def criterion_12_pseudo_intersection(_rng: random.Random) -> tuple[bool, str]:
 @_criterion(13, "continued fractions")
 def criterion_13_continued_fractions(rng: random.Random) -> tuple[bool, str]:
     for _ in range(1000):
-        den = rng.randint(2, 10_000)
-        num = rng.randint(1, den - 1)
+        den = _randint(rng, 2, 10_000)
+        num = _randint(rng, 1, den - 1)
         t = Fraction(num, den)
         pq = contfrac.expand(contfrac.QuadraticSurd.from_fraction(t))
         if contfrac.convergent(pq, len(pq)) != t:

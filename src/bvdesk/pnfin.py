@@ -91,22 +91,34 @@ class PrimesFrom:
         self.name = f"primes-from-{n}"
 
     def element(self, k: int) -> int:
+        return nth_prime(self._index(k))
+
+    def _index(self, k: int) -> int:
+        """The prime index of the k-th element, refused as :meth:`element`
+        refuses it, without sieving."""
         if k < 1:
             raise ValueError("indices are 1-based")
-        return nth_prime(self.offset + k)
+        if self.offset + k > PRIME_INDEX_CAP:
+            raise ValueError(f"prime index {self.offset + k} exceeds cap {PRIME_INDEX_CAP}")
+        return self.offset + k
 
     def contains(self, m: int) -> bool:
         count = _prime_count(m)
         return count > self.offset and _PRIMES[count - 1] == m
 
     def least_above(self, m: int, horizon: int) -> int:
-        if self.element(horizon) <= m:
+        """Grows the prime table past m or to the ``horizon``-th element,
+        whichever comes first."""
+        last = self._index(horizon)
+        while _PRIMES[-1] <= m and len(_PRIMES) < last:
+            _extend_primes()
+        if len(_PRIMES) >= last and _PRIMES[last - 1] <= m:
             raise HorizonError(
                 f"{self.name}: no element above {m} within horizon {horizon}")
         return _PRIMES[bisect_right(_PRIMES, m, self.offset)]
 
     def first_outside(self, upper: PrimesFrom, horizon: int) -> int | None:
-        self.element(horizon)  # refuses if the horizon-th element is past PRIME_INDEX_CAP
+        self._index(horizon)
         return None if self.offset >= upper.offset else self.element(1)
 
 

@@ -1,12 +1,12 @@
 """Dyadic partition towers and the refined-function construction.
 
 Given finitely many covers of a finite powerset algebra, a tower of
-partitions P_1, P_2, ... is built so that every level has 2^m blocks (zero
-blocks permitted as padding), consecutive levels satisfy the sibling rule
+partitions P_1, P_2, ... is built so that level m has 2^m block indices
+(blocks may be zero), consecutive levels satisfy the sibling rule
 U_j^m = U_{2j-1}^{m+1} v U_{2j}^{m+1}, and each input cover is refined from
 some recorded level.  The tower is one h-bit address per atom: atom q lies
-in block ``address >> (h - m)`` of level m, and only the JSON report pads
-level m out to 2^m blocks.
+in block ``address >> (h - m)`` of level m.  The JSON report lists each
+level's nonzero blocks only, by index, so it is O(atoms * height).
 
 Each doubling splits every block U into the chained pair (U ^ c, U \\ c)
 for the first cover member c meeting U properly; blocks already dominated
@@ -37,9 +37,12 @@ from .boolalg import BoolElem, Cover, FiniteBooleanAlgebra, Partition, is_refine
 from .bvu import ResourceCapError
 from .lattice import LatticeVector
 
-#: Most atoms :func:`build_tower` accepts.  The tower holds one address per
-#: atom, but the ``to_json`` report pads level m to 2^m blocks.
-MAX_ATOMS = 20
+#: Most atoms :func:`build_tower` accepts.  The height is at most the atom
+#: count, and a report holds the tower in O(atoms * height), the separation
+#: records in O(atoms^2) and the certificates in O(covers * atoms * members);
+#: g's denominator 3^h has about h/2 digits, as have the gaps and bounds.  At
+#: 128 atoms a report of height 127 takes about half a second.
+MAX_ATOMS = 128
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,15 @@ class PartitionTower:
         return blocks
 
     def level_partition(self, m: int) -> Partition:
-        """Level m (1-based) with padding dropped, as a public partition."""
+        """Level m (1-based) with zero blocks dropped, as a public partition."""
         blocks = self._blocks(m)
         return Partition(tuple(self.algebra.element(blocks[j]) for j in sorted(blocks)))
 
     def to_json(self) -> dict:
-        levels = []
-        for m in range(1, self.height + 1):
-            blocks = self._blocks(m)
-            levels.append([{"atoms": blocks.get(j, [])} for j in range(2 ** m)])
+        """Level m as its nonzero blocks ``{"index": j, "atoms": [...]}``, by
+        increasing j; the blocks left out are zero."""
+        levels = [[{"index": j, "atoms": blocks[j]} for j in sorted(blocks)]
+                  for blocks in map(self._blocks, range(1, self.height + 1))]
         return {"levels": levels, "cover_levels": list(self.cover_levels)}
 
 
@@ -138,15 +141,26 @@ def refined_function(algebra: FiniteBooleanAlgebra,
 
 def is_function_refined_from(g: LatticeVector,
                              cover: Cover | Sequence[BoolElem]) -> bool:
-    """Every atom pair with equal g-values lies inside one cover member."""
-    members = list(cover.members if isinstance(cover, Cover) else cover)
-    n = g.dim
-    for q1 in range(n):
-        for q2 in range(q1 + 1, n):
-            if g.coords[q1] != g.coords[q2]:
-                continue
-            if not any(c.mask >> q1 & 1 and c.mask >> q2 & 1 for c in members):
-                return False
+    """Every atom pair with equal g-values lies inside one cover member.
+
+    Atoms are grouped by g-value into masks; an atom q in a group of two or
+    more passes when the members holding q reach the whole group.  That is
+    the pairwise condition in O(atoms * members).
+    """
+    groups: dict[Fraction, int] = {}
+    for q, value in enumerate(g.coords):
+        groups[value] = groups.get(value, 0) | 1 << q
+    masks = [c.mask for c in (cover.members if isinstance(cover, Cover) else cover)]
+    for q, value in enumerate(g.coords):
+        group = groups[value]
+        if group & (group - 1) == 0:
+            continue
+        reach = 0
+        for c in masks:
+            if c >> q & 1:
+                reach |= c
+        if group & ~reach:
+            return False
     return True
 
 

@@ -2,8 +2,10 @@
 tolerance (exact, except for the few runtime ceilings that are part of the
 criteria).  One pass/fail line is printed per criterion."""
 
+import hashlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -62,3 +64,43 @@ def test_timings_render_from_integer_nanoseconds():
     result = CriterionResult(4, "arrow cancellation", True, "ok", 5_000_000)
     assert result.line() == "[PASS] criterion  4 arrow cancellation: ok (0.01s)"
     assert result.to_json()["elapsed_ns"] == 5_000_000
+
+
+def test_randint_draws_as_the_generator_does():
+    """``_randint`` returns ``rng.randint``'s value and leaves the generator in
+    the same state, over ranges of every width the criteria draw and wider."""
+    ranges = [(0, 0), (1, 1), (-9, 9), (1, 9), (0, 1), (2, 10_000), (0, 2 ** 12 - 1),
+              (1, 2 ** 12 - 1), (-3, 3), (5, 6), (0, 2 ** 64), (-(2 ** 70), 3)]
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for lo, hi in ranges:
+                assert acceptance._randint(ours, lo, hi) == theirs.randint(lo, hi)
+        assert ours.getstate() == theirs.getstate()
+    for lo, hi in ((3, 2), (0, -5)):
+        with pytest.raises(ValueError) as ours:
+            acceptance._randint(random.Random(0), lo, hi)
+        with pytest.raises(ValueError) as theirs:
+            random.Random(0).randint(lo, hi)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_criteria_draw_what_randint_drew():
+    """Each criterion leaves its generator in the state pinned when the
+    criteria drew with ``rng.randint`` and ``rng.randrange``: the same words,
+    drawn in the same order."""
+    digest = hashlib.sha256()
+    for criterion in ALL_CRITERIA:
+        rng = random.Random(DEFAULT_SEED + 7919 * number_in_name(criterion))
+        criterion.__wrapped__(rng)
+        digest.update(repr(rng.getstate()).encode())
+    assert digest.hexdigest() == (
+        "a10bc27caa3f71ea869a89b6c561609b2bc8f62147f95e937704fb188524d2c1")
+
+
+def test_shared_fractions_equal_fresh_ones():
+    for p in range(-12, 13):
+        for q in range(1, 12):
+            shared = acceptance._fraction(p, q)
+            assert shared == Fraction(p, q) and type(shared) is Fraction
+    assert acceptance._fraction(2, 4) is acceptance._fraction(2, 4)

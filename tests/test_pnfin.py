@@ -551,6 +551,34 @@ class TestAgainstReference:
                 verify_decreasing(primes_thinned_chain(), depth, 102 - depth)
         assert pnfin._PRIMES[-1] < 1600
 
+    def test_primes_horizon_checked_by_index_without_sieving(self, monkeypatch):
+        # a fresh table: a horizon far past the answer grows it no further than the answer
+        monkeypatch.setattr(pnfin, "_PRIMES", [2, 3, 5, 7, 11, 13])
+        assert PrimesFrom(1).least_above(13, 7) == 17  # the answer is the first prime past the table
+        horizon = pnfin.PRIME_INDEX_CAP - 1
+        assert PrimesFrom(2).least_above(3, horizon) == 5
+        assert PrimesFrom(2).first_outside(PrimesFrom(1), horizon) is None
+        assert PrimesFrom(1).first_outside(PrimesFrom(2), horizon) == 2
+        assert verify_decreasing(primes_thinned_chain(), 2, horizon).ok
+        assert pseudo_intersection(primes_thinned_chain(), 2, horizon).elements == (2, 3)
+        # and an m far past a small horizon's last element grows it no further than that
+        with pytest.raises(HorizonError):
+            PrimesFrom(1).least_above(8 * 10 ** 6, 3)
+        assert len(pnfin._PRIMES) < 1000
+        with pytest.raises(ValueError, match=f"^prime index {horizon + 2} exceeds cap "):
+            PrimesFrom(3).least_above(3, horizon)
+        with pytest.raises(HorizonError):  # every prime up to m precedes the horizon
+            PrimesFrom(2).least_above(100, 3)
+
+    def test_primes_least_above_past_the_table(self, monkeypatch):
+        # m beyond the largest prime the table may hold is past every horizon
+        monkeypatch.setattr(pnfin, "PRIME_INDEX_CAP", 100)
+        monkeypatch.setattr(pnfin, "_SIEVE_CEILING", 1600)
+        monkeypatch.setattr(pnfin, "_PRIMES", [2, 3, 5, 7, 11, 13])
+        with pytest.raises(HorizonError, match="no element above 1000000 within horizon 3"):
+            PrimesFrom(1).least_above(10 ** 6, 3)
+        assert PrimesFrom(1).least_above(nth_prime(99), 100) == nth_prime(100)
+
     def test_least_above_huge_horizon(self):
         start = time.perf_counter()
         assert evens().least_above(5, 10 ** 12) == 6

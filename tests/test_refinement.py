@@ -83,9 +83,32 @@ def reference_chi(levels, m, n):
 
 
 def padded_levels(tower):
-    """The padded levels the tower's JSON report writes, as elements."""
-    return tuple(tuple(BoolElem.from_json(b, tower.algebra) for b in level)
-                 for level in tower.to_json()["levels"])
+    """The 2^m padded levels, rebuilt from the nonzero blocks the tower's JSON
+    report lists by strictly increasing index below 2^m."""
+    levels = []
+    for m, blocks in enumerate(tower.to_json()["levels"], start=1):
+        indices = [b["index"] for b in blocks]
+        assert indices == sorted(set(indices))
+        assert all(0 <= j < 2 ** m for j in indices)
+        assert all(b["atoms"] for b in blocks)
+        level = [tower.algebra.bottom] * 2 ** m
+        for b in blocks:
+            level[b["index"]] = BoolElem.from_json(b, tower.algebra)
+        levels.append(tuple(level))
+    return tuple(levels)
+
+
+def reference_is_function_refined_from(g, cover):
+    """Every atom pair with equal g-values lies inside one cover member, pair by pair."""
+    members = list(cover)
+    n = g.dim
+    for q1 in range(n):
+        for q2 in range(q1 + 1, n):
+            if g.coords[q1] != g.coords[q2]:
+                continue
+            if not any(c.mask >> q1 & 1 and c.mask >> q2 & 1 for c in members):
+                return False
+    return True
 
 
 class TestTower:
@@ -187,8 +210,10 @@ class TestAgainstPaddedTower:
         result = refine_report(algebra, covers)
         tower = result.tower
         assert tower.height == len(levels)
+        assert padded_levels(tower) == levels
         assert tower.to_json() == {
-            "levels": [[b.to_json() for b in level] for level in levels],
+            "levels": [[{"index": j, **b.to_json()} for j, b in enumerate(level)
+                        if not b.is_zero] for level in levels],
             "cover_levels": list(cover_levels),
         }
         for m, level in enumerate(levels, start=1):
@@ -209,18 +234,47 @@ class TestAgainstPaddedTower:
         assert [s.atom_pair for s in result.separations] == sorted(expected)
 
     def test_split_fixture_report_is_pinned(self, tmp_path):
-        # one atom split off per cover: height 15, 65 534 padded blocks in the report
-        atoms = 16
-        spec = {"atoms": atoms,
-                "covers": [[{"atoms": [q]}, {"atoms": [a for a in range(atoms) if a != q]}]
-                           for q in range(atoms - 1)]}
-        path = tmp_path / "covers.json"
-        path.write_text(json.dumps(spec))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["refine", "--covers", str(path), "--json"]) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-            "8da7f90a07b30442024e4cbe82430aecc154ba65184b25469ca97360502993e4")
+        # one atom split off per cover: height 15, one nonzero block more per level
+        code, out = run_split_fixture(tmp_path, 16)
+        assert code == 0 and len(out) <= 50_000
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2e6c68bf9a23cc91aaac0431b743b72f34d1b21dc3bb3f42734818878cce7a04")
+        report = json.loads(out)
+        assert [len(level) for level in report["tower"]["levels"]] == list(range(2, 17))
+        # g and the separation records read as when the report padded every level
+        for key, digest in (
+                ("g", "422d99ef855909a665ef2fbc467d13d196f9ce4c4c12c32e2c0e5ca551d74dad"),
+                ("separation",
+                 "d6f2009ef95c9fe86c73e710fa7d6206e3017d85285cb58c2ca4832a8432b0fc")):
+            text = json.dumps(report[key], sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_split_fixture_at_the_cap(self, tmp_path):
+        code, out = run_split_fixture(tmp_path, MAX_ATOMS)
+        assert code == 0
+        report = json.loads(out)
+        assert report["certificates"] == [True] * (MAX_ATOMS - 1)
+        assert len(report["separation"]) == MAX_ATOMS * (MAX_ATOMS - 1) // 2
+        assert [len(level) for level in report["tower"]["levels"]] == list(
+            range(2, MAX_ATOMS + 1))
+
+    def test_split_fixture_over_the_cap_refused_at_once(self, tmp_path):
+        start = time.perf_counter()
+        assert run_split_fixture(tmp_path, MAX_ATOMS + 1) == (2, "")
+        assert time.perf_counter() - start < 0.1
+
+
+def run_split_fixture(tmp_path, atoms):
+    """``refine --json``'s exit code and stdout on covers that each split off one atom."""
+    spec = {"atoms": atoms,
+            "covers": [[{"atoms": [q]}, {"atoms": [a for a in range(atoms) if a != q]}]
+                       for q in range(atoms - 1)]}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(spec))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["refine", "--covers", str(path), "--json"])
+    return code, out.getvalue()
 
 
 def _random_cover(rng, algebra):
@@ -285,6 +339,27 @@ class TestFunctionRefinement:
         g = AtomicLattice(2).vector([1, 1])
         a2 = FiniteBooleanAlgebra(2)
         assert not is_function_refined_from(g, [a2.element([0]), a2.element([1])])
+
+    def test_equal_triple_met_pairwise(self):
+        # each pair of the three equal atoms lies in a member, no member holds all three
+        g = AtomicLattice(3).vector([2, 2, 2])
+        a3 = FiniteBooleanAlgebra(3)
+        pairs = [a3.element([0, 1]), a3.element([1, 2]), a3.element([0, 2])]
+        assert is_function_refined_from(g, pairs)
+        assert not is_function_refined_from(g, pairs[:2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 10 ** 6), st.integers(1, 4), st.booleans())
+    def test_matches_pairwise_oracle(self, atoms, seed, values, cover):
+        rng = random.Random(seed)
+        algebra = FiniteBooleanAlgebra(atoms)
+        # few distinct values, so most g repeat some
+        g = AtomicLattice(atoms).vector([rng.randrange(values) for _ in range(atoms)])
+        members = (_random_cover(rng, algebra) if cover else
+                   [algebra.from_mask(rng.randrange(algebra.full_mask + 1))
+                    for _ in range(rng.randint(0, 4))])
+        assert is_function_refined_from(g, members) == reference_is_function_refined_from(
+            g, members)
 
 
 class TestLevelPartitions:
