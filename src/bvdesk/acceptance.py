@@ -62,30 +62,18 @@ def seconds_text(ns: int, places: int) -> str:
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
-    """``rng.randint(lo, hi)`` without the argument checks of ``randrange``.
-
-    It draws what CPython's ``_randbelow_with_getrandbits`` draws: k-bit
-    words, k the bit length of n = hi - lo + 1, until one is below n.  So
-    the value and the generator's state after the call are those of
-    ``rng.randint``, and an empty range is refused with its text.
-    """
-    n = hi - lo + 1
-    if n < 1:
-        raise ValueError(f"empty range for randrange() ({lo}, {hi + 1}, {n})")
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return lo + r
+    """``rng.randint(lo, hi)`` without the argument checks of ``randrange``:
+    the same draw, so the value and the generator's state after the call
+    are those of ``rng.randint``."""
+    if hi < lo:
+        raise ValueError(f"no integer in [{lo}, {hi}]")
+    return lo + rng._randbelow(hi - lo + 1)
 
 
-#: The small rationals p/q the criteria draw, one shared object each.
+#: Every rational p/q with |p| <= 9 and 1 <= q <= 9, one shared object each:
+#: the generators and criteria draw only these, and looking one up costs far
+#: less than building a new ``Fraction``.
 _FRACTIONS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)}
-
-
-def _fraction(p: int, q: int = 1) -> Fraction:
-    f = _FRACTIONS.get((p, q))
-    return Fraction(p, q) if f is None else f
 
 
 def random_boolelem(rng: random.Random, algebra: FiniteBooleanAlgebra) -> BoolElem:
@@ -113,12 +101,10 @@ def random_bset(rng: random.Random, algebra: FiniteBooleanAlgebra,
     return bset(algebra, pairs)
 
 
-def random_vector(rng: random.Random, dim: int, *, nonneg: bool = False,
-                  max_num: int = 9, max_den: int = 9) -> LatticeVector:
-    lo = 0 if nonneg else -max_num
+def random_vector(rng: random.Random, dim: int) -> LatticeVector:
+    """Coordinates p/q with |p| <= 9 and 1 <= q <= 9."""
     return LatticeVector(tuple(
-        _fraction(_randint(rng, lo, max_num), _randint(rng, 1, max_den))
-        for _ in range(dim)))
+        _FRACTIONS[_randint(rng, -9, 9), _randint(rng, 1, 9)] for _ in range(dim)))
 
 
 def random_cover(rng: random.Random, algebra: FiniteBooleanAlgebra) -> list[BoolElem]:
@@ -279,7 +265,7 @@ def criterion_6_multiplier_recovery(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
         dim = _randint(rng, 1, 8)
-        diag = [_fraction(_randint(rng, -9, 9), _randint(rng, 1, 9)) for _ in range(dim)]
+        diag = [_FRACTIONS[_randint(rng, -9, 9), _randint(rng, 1, 9)] for _ in range(dim)]
         m = ops.diagonal_matrix(diag)
         if not ops.is_band_preserving(m):
             return False, "diagonal flagged as non-preserving"
@@ -289,10 +275,10 @@ def criterion_6_multiplier_recovery(rng: random.Random) -> tuple[bool, str]:
             return False, "T x != (T 1) * x"
     for _ in range(trials):
         dim = _randint(rng, 2, 8)
-        rows = [[_fraction(_randint(rng, -3, 3)) for _ in range(dim)] for _ in range(dim)]
+        rows = [[_FRACTIONS[_randint(rng, -3, 3), 1] for _ in range(dim)] for _ in range(dim)]
         i = _randint(rng, 0, dim - 1)
         j = (i + _randint(rng, 1, dim - 1)) % dim
-        rows[i][j] = _fraction(_randint(rng, 1, 5))  # guarantee an off-diagonal entry
+        rows[i][j] = _FRACTIONS[_randint(rng, 1, 5), 1]  # guarantee an off-diagonal entry
         if ops.is_band_preserving(ops.matrix(rows)):
             return False, "non-diagonal accepted"
     return True, f"{trials} diagonal recoveries and {trials} non-diagonal rejections"
@@ -312,7 +298,7 @@ def criterion_8_endomorphisms_and_automorphisms(rng: random.Random) -> tuple[boo
     trials = 1000
     for _ in range(trials):
         dim = _randint(rng, 1, 8)
-        idem = [GaussianRational(_fraction(_randint(rng, 0, 1))) for _ in range(dim)]
+        idem = [GaussianRational(_FRACTIONS[_randint(rng, 0, 1), 1]) for _ in range(dim)]
         verdict = ops.classify_endomorphism(ops.diagonal_matrix(idem))
         if verdict.kind != "band projection":
             return False, f"idempotent classified {verdict.kind!r}"
@@ -326,8 +312,8 @@ def criterion_8_endomorphisms_and_automorphisms(rng: random.Random) -> tuple[boo
             return False, f"automorphism verdict {auto.kind!r}, expected {expected!r}"
         # non-idempotent diagonals must be rejected as not multiplicative
         while True:
-            c = GaussianRational(_fraction(_randint(rng, 2, 9), _randint(rng, 1, 9)),
-                                 _fraction(_randint(rng, 0, 3)))
+            c = GaussianRational(_FRACTIONS[_randint(rng, 2, 9), _randint(rng, 1, 9)],
+                                 _FRACTIONS[_randint(rng, 0, 3), 1])
             if c * c != c:
                 break
         bad = ops.diagonal_matrix([c] + idem[1:])
@@ -342,7 +328,7 @@ def criterion_9_bilinear_classification(rng: random.Random) -> tuple[bool, str]:
     trials = 1000
     for _ in range(trials):
         dim = _randint(rng, 1, 6)
-        w = [_fraction(_randint(rng, -9, 9), _randint(rng, 1, 9)) for _ in range(dim)]
+        w = [_FRACTIONS[_randint(rng, -9, 9), _randint(rng, 1, 9)] for _ in range(dim)]
         entries = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for q in range(dim):
             entries[q][q][q] = w[q]
@@ -365,7 +351,7 @@ def criterion_9_bilinear_classification(rng: random.Random) -> tuple[bool, str]:
         for i in range(dim):
             for j in range(i + 1, dim):
                 for k in range(dim):
-                    v = _fraction(_randint(rng, -2, 2))
+                    v = _FRACTIONS[_randint(rng, -2, 2), 1]
                     entries[i][j][k] = v
                     entries[j][i][k] = -v
                     nonzero = nonzero or v != 0

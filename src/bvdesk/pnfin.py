@@ -107,10 +107,10 @@ class PrimesFrom:
         return count > self.offset and _PRIMES[count - 1] == m
 
     def least_above(self, m: int, horizon: int) -> int:
-        """Grows the prime table past m or to the ``horizon``-th element,
-        whichever comes first."""
+        """Grows the prime table to this level's first element and past m,
+        or to the ``horizon``-th element, whichever comes first."""
         last = self._index(horizon)
-        while _PRIMES[-1] <= m and len(_PRIMES) < last:
+        while len(_PRIMES) < last and (len(_PRIMES) <= self.offset or _PRIMES[-1] <= m):
             _extend_primes()
         if len(_PRIMES) >= last and _PRIMES[last - 1] <= m:
             raise HorizonError(

@@ -5,7 +5,6 @@ criteria).  One pass/fail line is printed per criterion."""
 import hashlib
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -78,11 +77,10 @@ def test_randint_draws_as_the_generator_does():
                 assert acceptance._randint(ours, lo, hi) == theirs.randint(lo, hi)
         assert ours.getstate() == theirs.getstate()
     for lo, hi in ((3, 2), (0, -5)):
-        with pytest.raises(ValueError) as ours:
+        with pytest.raises(ValueError, match=f"^no integer in \\[{lo}, {hi}\\]$"):
             acceptance._randint(random.Random(0), lo, hi)
-        with pytest.raises(ValueError) as theirs:
+        with pytest.raises(ValueError):
             random.Random(0).randint(lo, hi)
-        assert str(ours.value) == str(theirs.value)
 
 
 def test_criteria_draw_what_randint_drew():
@@ -96,11 +94,3 @@ def test_criteria_draw_what_randint_drew():
         digest.update(repr(rng.getstate()).encode())
     assert digest.hexdigest() == (
         "a10bc27caa3f71ea869a89b6c561609b2bc8f62147f95e937704fb188524d2c1")
-
-
-def test_shared_fractions_equal_fresh_ones():
-    for p in range(-12, 13):
-        for q in range(1, 12):
-            shared = acceptance._fraction(p, q)
-            assert shared == Fraction(p, q) and type(shared) is Fraction
-    assert acceptance._fraction(2, 4) is acceptance._fraction(2, 4)

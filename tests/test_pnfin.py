@@ -579,6 +579,17 @@ class TestAgainstReference:
             PrimesFrom(1).least_above(10 ** 6, 3)
         assert PrimesFrom(1).least_above(nth_prime(99), 100) == nth_prime(100)
 
+    def test_primes_least_above_offset_past_the_table(self, monkeypatch):
+        # the table grows to the level's first element even when m lies below
+        # the table's last prime
+        for n in (7, 10):  # one past the table's end, and further
+            monkeypatch.setattr(pnfin, "_PRIMES", [2, 3, 5, 7, 11, 13])
+            assert PrimesFrom(n).least_above(5, 3) == nth_prime(n)
+        monkeypatch.setattr(pnfin, "_PRIMES", [2, 3, 5, 7, 11, 13])
+        chain = DecreasingChain({1: PrimesFrom(1), 2: PrimesFrom(100)}.get)
+        assert verify_decreasing(chain, 2, 5).ok
+        assert pseudo_intersection(chain, 2, 5).elements == (2, nth_prime(100))
+
     def test_least_above_huge_horizon(self):
         start = time.perf_counter()
         assert evens().least_above(5, 10 ** 12) == 6
